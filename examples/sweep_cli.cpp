@@ -365,7 +365,7 @@ int main(int argc, char** argv) {
       std::cout << '\n' << obs::to_table(summary);
       if (const auto path = args.get("metrics"); path && !path->empty()) {
         std::ofstream out(*path);
-        out << obs::to_json(summary);
+        obs::write_json(out, summary);
         std::cout << "\nwrote sweep summary JSON to " << *path << "\n";
       }
       return 0;

@@ -4,14 +4,16 @@
 // A sweep produces one MetricsReport per (machine, algorithm, threads)
 // cell (simbar::SweepDriver::run_with_metrics).  This module joins those
 // per-job reports into one cross-machine / cross-algorithm SweepSummary —
-// per-phase span shares, per-layer transfer totals, RFO density — with
-// JSON and table renderers (sweep_cli --metrics), and defines the shared
-// classification the autotuner uses to explain *why* a configuration wins:
-// arrival-bound vs notification-bound, from the paper's Section III
-// decomposition.  See docs/TRACING.md §7 for the JSON schema and the
+// per-phase span shares, per-layer transfer totals, RFO density — with a
+// streaming JSON writer and a table renderer (sweep_cli --metrics), and
+// defines the shared classification the autotuner uses to explain *why* a
+// configuration wins: arrival-bound vs notification-bound, from the
+// paper's Section III decomposition.  See docs/TRACING.md §7 for the JSON schema and the
 // explanation vocabulary.
 
 #include <cstdint>
+#include <iosfwd>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -103,14 +105,25 @@ struct SweepSummary {
   std::size_t dropped_spans = 0;
 };
 
+/// The roll-up itself, over reports owned elsewhere (the service keeps
+/// one pointer per job into its result cache instead of a report copy).
+/// No pointer may be null.
+SweepSummary aggregate(std::span<const MetricsReport* const> reports);
+
+/// Adapters over the pointer form; neither copies a report.
 SweepSummary aggregate(const std::vector<MetricsReport>& reports);
 
 /// Convenience: aggregate straight from SweepDriver::run_with_metrics.
 SweepSummary aggregate(const std::vector<simbar::MeteredRun>& runs);
 
-/// Serialize to pretty-printed JSON (schema: docs/TRACING.md §7).
-/// Locale-independent and strictly valid JSON (non-finite doubles are
+/// Stream pretty-printed JSON (schema: docs/TRACING.md §7) to @p os in
+/// chunks of a few KB, so the document is never held whole.
+/// Locale-independent — neither the global locale nor @p os's own locale
+/// reaches the bytes — and strictly valid JSON (non-finite doubles are
 /// emitted as null).
+void write_json(std::ostream& os, const SweepSummary& summary);
+
+/// write_json into a string.
 std::string to_json(const SweepSummary& summary);
 
 /// Render as aligned text tables: one cross-algorithm row table plus one

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <ostream>
+#include <sstream>
 
 #include "armbar/simbar/sweep.hpp"
 #include "armbar/util/table.hpp"
@@ -115,10 +117,11 @@ std::string explain(const MetricsReport& report, double threshold) {
   return out;
 }
 
-SweepSummary aggregate(const std::vector<MetricsReport>& reports) {
+SweepSummary aggregate(std::span<const MetricsReport* const> reports) {
   SweepSummary summary;
   summary.rows.reserve(reports.size());
-  for (const MetricsReport& r : reports) {
+  for (const MetricsReport* report : reports) {
+    const MetricsReport& r = *report;
     SweepSummary::Row row;
     row.machine = r.machine_name;
     row.barrier = r.barrier_name;
@@ -175,17 +178,24 @@ SweepSummary aggregate(const std::vector<MetricsReport>& reports) {
   return summary;
 }
 
-SweepSummary aggregate(const std::vector<simbar::MeteredRun>& runs) {
-  std::vector<MetricsReport> reports;
-  reports.reserve(runs.size());
-  for (const simbar::MeteredRun& r : runs) reports.push_back(r.report);
-  return aggregate(reports);
+SweepSummary aggregate(const std::vector<MetricsReport>& reports) {
+  std::vector<const MetricsReport*> ptrs;
+  ptrs.reserve(reports.size());
+  for (const MetricsReport& r : reports) ptrs.push_back(&r);
+  return aggregate(ptrs);
 }
 
-std::string to_json(const SweepSummary& s) {
+SweepSummary aggregate(const std::vector<simbar::MeteredRun>& runs) {
+  std::vector<const MetricsReport*> ptrs;
+  ptrs.reserve(runs.size());
+  for (const simbar::MeteredRun& r : runs) ptrs.push_back(&r.report);
+  return aggregate(ptrs);
+}
+
+void write_json(std::ostream& out, const SweepSummary& s) {
   using detail::escaped;
   using detail::json_num;
-  std::ostringstream os = detail::json_stream();
+  detail::JsonSink os(out);
   os << "{\n";
   os << "  \"runs\": " << s.rows.size() << ",\n";
   os << "  \"rows\": [";
@@ -248,6 +258,12 @@ std::string to_json(const SweepSummary& s) {
   os << "  \"trace\": {\"dropped_events\": " << s.dropped_events
      << ", \"dropped_spans\": " << s.dropped_spans << "}\n";
   os << "}\n";
+  os.flush();
+}
+
+std::string to_json(const SweepSummary& s) {
+  std::ostringstream os;
+  write_json(os, s);
   return os.str();
 }
 

@@ -4,16 +4,22 @@
 //
 // Two hardening rules every exporter must follow:
 //  * number formatting is pinned to the classic "C" locale — a process
-//    that set a comma-decimal global locale must still produce parseable
-//    JSON;
+//    that set a comma-decimal global locale, or hands us a stream imbued
+//    with one, must still produce parseable JSON.  Numbers go through
+//    std::to_chars, which never consults a locale;
 //  * non-finite doubles (NaN/Inf are legal IEEE but illegal JSON) are
 //    emitted as "null" where the schema allows it, or clamped to 0 where
 //    a number is required (Perfetto timestamps).
 
+#include <charconv>
 #include <cmath>
+#include <concepts>
+#include <cstddef>
 #include <locale>
+#include <ostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 namespace armbar::obs::detail {
 
@@ -25,12 +31,15 @@ inline std::ostringstream json_stream() {
 }
 
 /// Finite double in classic-locale formatting; NaN/Inf become "null".
+/// std::to_chars(general, 6) is specified as printf "%.6g", which is
+/// exactly what a default-precision classic-locale `os << v` renders, so
+/// the bytes are the stream's without building a stream.
 inline std::string json_num(double v) {
   if (!std::isfinite(v)) return "null";
-  std::ostringstream os;
-  os.imbue(std::locale::classic());
-  os << v;
-  return os.str();
+  char buf[32];
+  const auto r = std::to_chars(buf, buf + sizeof buf, v,
+                               std::chars_format::general, 6);
+  return std::string(buf, r.ptr);
 }
 
 /// Like json_num, but clamps non-finite values to 0 for schema positions
@@ -67,5 +76,54 @@ inline std::string escaped(const std::string& s) {
   }
   return out;
 }
+
+/// Buffered JSON text writer over an ostream.  Numbers are rendered with
+/// std::to_chars and the text reaches the stream only through
+/// ostream::write, so neither the global locale nor the target stream's
+/// locale or format flags can touch the bytes.  The buffer is handed to
+/// the stream every kFlushBytes, so a document of any size is never held
+/// whole; call flush() once the document is complete.
+class JsonSink {
+ public:
+  static constexpr std::size_t kFlushBytes = 8192;
+
+  explicit JsonSink(std::ostream& os) : os_(os) {
+    buf_.reserve(kFlushBytes + 256);
+  }
+  JsonSink(const JsonSink&) = delete;
+  JsonSink& operator=(const JsonSink&) = delete;
+
+  JsonSink& operator<<(std::string_view s) {
+    buf_.append(s);
+    return spill();
+  }
+  JsonSink& operator<<(char c) {
+    buf_.push_back(c);
+    return spill();
+  }
+  template <std::integral Int>
+  JsonSink& operator<<(Int v) {
+    char tmp[24];
+    const auto r = std::to_chars(tmp, tmp + sizeof tmp, v);
+    buf_.append(tmp, r.ptr);
+    return spill();
+  }
+  /// Doubles must go through json_num (JSON null for NaN/Inf).
+  JsonSink& operator<<(double) = delete;
+
+  void flush() {
+    os_.write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
+    buf_.clear();
+  }
+
+ private:
+  JsonSink& spill() {
+    if (buf_.size() >= kFlushBytes) flush();
+    return *this;
+  }
+
+  std::ostream& os_;
+  std::string buf_;
+};
 
 }  // namespace armbar::obs::detail

@@ -1,8 +1,8 @@
 #include "armbar/svc/job.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <stdexcept>
 #include <string>
 
@@ -173,15 +173,15 @@ int require_int(const std::string& key, double v, long lo, long hi) {
   return static_cast<int>(v);
 }
 
-/// Canonical shortest-roundtrip rendering for doubles in cache keys
-/// (locale-independent: %g never consults the global locale's grouping,
-/// and the decimal point is forced to '.' by construction below).
-std::string key_num(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  for (char& c : buf)
-    if (c == ',') c = '.';  // comma-decimal C locale hardening
-  return buf;
+/// Canonical round-trip rendering for doubles in cache keys: the bytes of
+/// printf "%.17g" in the "C" locale, which std::to_chars(general, 17) is
+/// specified to produce without consulting any locale.  Changing these
+/// bytes re-keys every cache entry (tests pin a full key).
+void append_key_num(std::string& key, double v) {
+  char buf[32];
+  const auto r =
+      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 17);
+  key.append(buf, r.ptr);
 }
 
 }  // namespace
@@ -264,27 +264,27 @@ std::string cache_key(const JobSpec& spec) {
   key += "|p=";
   key += spec.placement;
   key += "|np=";
-  key += key_num(spec.fault.noise.period_us);
+  append_key_num(key, spec.fault.noise.period_us);
   key += "|nd=";
-  key += key_num(spec.fault.noise.duration_us);
+  append_key_num(key, spec.fault.noise.duration_us);
   key += "|bi=";
-  key += key_num(spec.fault.burst.interval_us);
+  append_key_num(key, spec.fault.burst.interval_us);
   key += "|bd=";
-  key += key_num(spec.fault.burst.duration_us);
+  append_key_num(key, spec.fault.burst.duration_us);
   key += "|sf=";
-  key += key_num(spec.fault.straggler.fraction);
+  append_key_num(key, spec.fault.straggler.fraction);
   key += "|ss=";
-  key += key_num(spec.fault.straggler.slowdown);
+  append_key_num(key, spec.fault.straggler.slowdown);
   key += "|sd=";
-  key += key_num(spec.fault.straggler.dwell_us);
+  append_key_num(key, spec.fault.straggler.dwell_us);
   key += "|ll=";
   key += std::to_string(spec.fault.link.min_layer);
   key += "|lf=";
-  key += key_num(spec.fault.link.factor);
+  append_key_num(key, spec.fault.link.factor);
   key += "|fi=";
-  key += key_num(spec.fault.link.flap_interval_us);
+  append_key_num(key, spec.fault.link.flap_interval_us);
   key += "|fd=";
-  key += key_num(spec.fault.link.flap_duration_us);
+  append_key_num(key, spec.fault.link.flap_duration_us);
   key += "|fs=";
   key += std::to_string(spec.fault.seed);
   return key;

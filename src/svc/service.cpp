@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <deque>
@@ -10,8 +11,10 @@
 #include <mutex>
 #include <optional>
 #include <ostream>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -74,8 +77,24 @@ std::string oversized_tail(std::size_t max_bytes) {
                            "");
 }
 
+/// One result line.  The index goes through std::to_chars, never through
+/// `out <<`: a caller's stream imbued with a grouping locale would
+/// otherwise print job 1000 as "1.000".
 void emit_line(std::ostream& out, std::uint64_t seq, const std::string& tail) {
-  out << "{\"job\": " << seq << tail << '\n';
+  static constexpr std::string_view kHead = "{\"job\": ";
+  char head[kHead.size() + 24];
+  kHead.copy(head, kHead.size());
+  const auto r = std::to_chars(head + kHead.size(), head + sizeof head, seq);
+  out.write(head, r.ptr - head);
+  out.write(tail.data(), static_cast<std::streamsize>(tail.size()));
+  out.put('\n');
+}
+
+/// The end-of-stream summary over every successful job's report.
+void emit_summary(std::ostream& out,
+                  std::span<const obs::MetricsReport* const> reports) {
+  obs::write_json(out, obs::aggregate(reports));
+  out.put('\n');
 }
 
 /// Run @p fn under the sweep layer's error taxonomy: on failure, @p out
@@ -515,7 +534,9 @@ ServiceStats SweepService::serve(std::istream& in, std::ostream& out) {
   std::uint64_t emitted = 0;
   std::uint64_t failed = 0;
   ServiceStats stats;
-  std::vector<obs::MetricsReport> reports;
+  // One shared pointer per successful job, for the summary: on a warm
+  // stream these share the cache's entries, so nothing is copied.
+  std::vector<std::shared_ptr<const CachedResult>> done;
 
   // Supervision bookkeeping (intake-thread-private; sized only when on).
   // outstanding[w]: seqs handed to worker w, not yet published.
@@ -553,11 +574,12 @@ ServiceStats SweepService::serve(std::istream& in, std::ostream& out) {
       Impl::Slot& slot = impl.slots[emitted & mask];
       if (!slot.ready.load(std::memory_order_acquire)) return;
       emit_line(out, emitted, slot.entry->tail);
-      if (slot.entry->failed)
+      if (slot.entry->failed) {
         ++failed;
-      else
-        reports.push_back(slot.entry->report);
-      slot.entry.reset();
+        slot.entry.reset();
+      } else {
+        done.push_back(std::move(slot.entry));
+      }
       slot.ready.store(false, std::memory_order_relaxed);
       if (supervised) {
         const std::size_t idx = emitted & mask;
@@ -740,8 +762,12 @@ ServiceStats SweepService::serve(std::istream& in, std::ostream& out) {
     waiter.step();
   }
 
-  const obs::SweepSummary summary = obs::aggregate(reports);
-  out << obs::to_json(summary) << '\n';
+  {
+    std::vector<const obs::MetricsReport*> reports;
+    reports.reserve(done.size());
+    for (const auto& e : done) reports.push_back(&e->report);
+    emit_summary(out, reports);
+  }
 
   stats.jobs = submitted;
   stats.failed = failed;
@@ -829,14 +855,14 @@ ServiceStats SweepService::run_oneshot(std::istream& in, std::ostream& out,
   std::size_t err_cursor = 0;
 
   std::uint64_t failed = 0;
-  std::vector<obs::MetricsReport> reports;
+  std::vector<const obs::MetricsReport*> reports;  // into outcome.results
   for (std::size_t i = 0; i < lines.size(); ++i) {
     LineSlot& slot = lines[i];
     if (slot.spec) {
       const auto& run = outcome.results[slot.driver_index];
       if (run) {
         slot.tail = render_result_tail(*slot.spec, run->result);
-        reports.push_back(run->report);
+        reports.push_back(&run->report);
       } else {
         while (err_cursor < outcome.errors.size() &&
                outcome.errors[err_cursor].job_index < slot.driver_index)
@@ -855,8 +881,7 @@ ServiceStats SweepService::run_oneshot(std::istream& in, std::ostream& out,
     emit_line(out, i, slot.tail);
   }
 
-  const obs::SweepSummary summary = obs::aggregate(reports);
-  out << obs::to_json(summary) << '\n';
+  emit_summary(out, reports);
 
   ServiceStats stats;
   stats.jobs = lines.size();

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -11,6 +12,7 @@
 #include "armbar/simbar/sim_barriers.hpp"
 #include "armbar/simbar/sweep.hpp"
 #include "armbar/topo/platforms.hpp"
+#include "hostile_locale.hpp"
 
 namespace armbar::obs {
 namespace {
@@ -138,6 +140,96 @@ TEST(Aggregate, JsonAndTableRender) {
   EXPECT_NE(table.find("bound"), std::string::npos);
   EXPECT_NE(table.find("rfo/kop"), std::string::npos);
   EXPECT_NE(table.find("other"), std::string::npos);
+}
+
+/// Enough rows on two machines that the streamed document crosses many
+/// of write_json's flush boundaries.
+std::vector<MetricsReport> many_reports() {
+  std::vector<MetricsReport> reports;
+  for (int i = 0; i < 240; ++i) {
+    MetricsReport r = synthetic_report(i % 3 == 0 ? "m\"1" : "m2",
+                                       "b" + std::to_string(i),
+                                       100.0 + i * 0.37, 1e5 / (i + 1));
+    r.mean_overhead_ns = 1234567.0 + i / 7.0;
+    r.threads = 1000 + i;
+    r.dropped_events = static_cast<std::size_t>(i);
+    reports.push_back(std::move(r));
+  }
+  return reports;
+}
+
+TEST(Aggregate, JsonBytesArePinned) {
+  // The exact summary document; the streaming writer and the locale-free
+  // number formatting must reproduce it byte for byte.
+  const SweepSummary s =
+      aggregate(std::vector<MetricsReport>{synthetic_report("m", "b", 300.0,
+                                                            100.0 / 3.0)});
+  EXPECT_EQ(to_json(s), R"({
+  "runs": 1,
+  "rows": [
+    {
+      "machine": "m",
+      "barrier": "b",
+      "threads": 4,
+      "iterations": 8,
+      "mean_overhead_ns": 333.333,
+      "bound": "arrival-bound",
+      "span_shares": {"arrival": 0.9, "notification": 0.1, "other": 0},
+      "total_ops": 15,
+      "remote_transfers": 13,
+      "rfo_invalidations": 3,
+      "rfo_per_kop": 200,
+      "layer_transfers": [7,6]
+    }
+  ],
+  "machines": [
+    {
+      "machine": "m",
+      "runs": 1,
+      "layers": ["intra","inter"],
+      "phase_layer_transfers": {"none": [0,0], "arrival": [6,2], "notification": [1,4]},
+      "total_ops": 15,
+      "rfo_invalidations": 3
+    }
+  ],
+  "trace": {"dropped_events": 0, "dropped_spans": 0}
+}
+)");
+}
+
+TEST(Aggregate, WriteJsonStreamsTheSameBytes) {
+  const SweepSummary s = aggregate(many_reports());
+  ASSERT_EQ(s.rows.size(), 240u);
+  ASSERT_EQ(s.machines.size(), 2u);
+  const std::string doc = to_json(s);
+  EXPECT_GT(doc.size(), 64'000u) << "must span many flush chunks";
+
+  std::ostringstream plain;
+  write_json(plain, s);
+  EXPECT_EQ(plain.str(), doc);
+
+  // A caller's stream carrying a grouping, comma-decimal locale changes
+  // nothing: numbers never pass through the stream's formatting.
+  std::ostringstream hostile;
+  hostile.imbue(test_support::hostile_locale());
+  write_json(hostile, s);
+  EXPECT_EQ(hostile.str(), doc);
+  {
+    test_support::GlobalLocaleGuard guard;
+    EXPECT_EQ(to_json(s), doc);
+  }
+}
+
+TEST(Aggregate, PointerCoreMatchesValueAdapter) {
+  const std::vector<MetricsReport> reports = many_reports();
+  std::vector<const MetricsReport*> ptrs;
+  for (const MetricsReport& r : reports) ptrs.push_back(&r);
+  const SweepSummary by_value = aggregate(reports);
+  const SweepSummary by_pointer = aggregate(ptrs);
+  EXPECT_EQ(to_json(by_pointer), to_json(by_value));
+  EXPECT_EQ(to_table(by_pointer), to_table(by_value));
+  EXPECT_EQ(by_pointer.dropped_events, by_value.dropped_events);
+  EXPECT_TRUE(aggregate(std::span<const MetricsReport* const>{}).rows.empty());
 }
 
 TEST(Aggregate, RealSweepRoundTrip) {

@@ -3,11 +3,18 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdio>
 #include <limits>
 #include <locale>
+#include <random>
+#include <sstream>
 #include <string>
+#include <string_view>
+#include <vector>
 
+#include "../src/obs/json_util.hpp"
 #include "armbar/obs/metrics.hpp"
 #include "armbar/obs/native_phase.hpp"
 #include "armbar/obs/perfetto.hpp"
@@ -15,7 +22,9 @@
 #include "armbar/sim/trace.hpp"
 #include "armbar/simbar/runner.hpp"
 #include "armbar/simbar/sim_barriers.hpp"
+#include "armbar/svc/job.hpp"
 #include "armbar/topo/platforms.hpp"
+#include "hostile_locale.hpp"
 
 namespace armbar::obs {
 namespace {
@@ -168,22 +177,7 @@ TEST(Metrics, LayersTableRowsReconcile) {
         << "layer " << l;
 }
 
-/// Locale whose numeric formatting would corrupt JSON if it leaked in:
-/// comma decimal point, dot thousands separator, 3-digit grouping.
-struct CommaDecimalPunct : std::numpunct<char> {
-  char do_decimal_point() const override { return ','; }
-  char do_thousands_sep() const override { return '.'; }
-  std::string do_grouping() const override { return "\3"; }
-};
-
-/// Swaps in the hostile locale for the duration of a test.
-struct GlobalLocaleGuard {
-  std::locale previous;
-  GlobalLocaleGuard()
-      : previous(std::locale::global(
-            std::locale(std::locale::classic(), new CommaDecimalPunct))) {}
-  ~GlobalLocaleGuard() { std::locale::global(previous); }
-};
+using armbar::test_support::GlobalLocaleGuard;
 
 TEST(Metrics, JsonIsLocaleIndependent) {
   TracedRun run(Algo::kSense, 8, topo::kunpeng920());
@@ -239,6 +233,81 @@ TEST(Metrics, ControlCharactersAreEscaped) {
   for (const char ch : json)
     EXPECT_TRUE(static_cast<unsigned char>(ch) >= 0x20 || ch == '\n')
         << "raw control char " << static_cast<int>(ch);
+}
+
+// -- number formatting ------------------------------------------------------
+
+/// Over a million seeded finite doubles: random bit patterns (every
+/// exponent, subnormals included), uniform ranges, short decimals, and the
+/// boundaries where %g switches between fixed and exponent notation or
+/// rounds up to the next power of ten.
+std::vector<double> formatter_corpus() {
+  constexpr double kMax = std::numeric_limits<double>::max();
+  std::vector<double> v = {0.0,       -0.0,     1e-5,    9.99999e-5,
+                           999999.5,  1e6,      5e-324,  kMax,
+                           -kMax,     1e-4,     9.999995e-5, 999999.4,
+                           999999.6,  99999.95, 0.1,     1.0 / 3.0,
+                           2.2250738585072014e-308};
+  std::mt19937_64 rng(20211012);
+  while (v.size() < 1'000'000) {
+    const double x = std::bit_cast<double>(rng());
+    if (std::isfinite(x)) v.push_back(x);
+  }
+  std::uniform_real_distribution<double> uniform(-1e7, 1e7);
+  for (int i = 0; i < 100'000; ++i) v.push_back(uniform(rng));
+  for (int i = 0; i < 100'000; ++i)
+    v.push_back(static_cast<double>(rng() % 10'000'000) *
+                std::pow(10.0, static_cast<int>(rng() % 40) - 20));
+  return v;
+}
+
+TEST(NumberFormat, JsonNumMatchesClassicStream) {
+  std::ostringstream os;
+  os.imbue(std::locale::classic());
+  std::size_t mismatches = 0;
+  std::string first;
+  for (const double x : formatter_corpus()) {
+    os.str("");
+    os << x;
+    const std::string got = detail::json_num(x);
+    if (got != os.str() && mismatches++ == 0)
+      first = os.str() + " rendered as " + got;
+  }
+  EXPECT_EQ(mismatches, 0u) << "first: " << first;
+}
+
+TEST(NumberFormat, CacheKeyNumbersMatchPrintf17g) {
+  const std::vector<double> corpus = formatter_corpus();
+  svc::JobSpec spec;
+  double* const fields[] = {
+      &spec.fault.noise.period_us,     &spec.fault.noise.duration_us,
+      &spec.fault.burst.interval_us,   &spec.fault.burst.duration_us,
+      &spec.fault.straggler.fraction,  &spec.fault.straggler.slowdown,
+      &spec.fault.straggler.dwell_us,  &spec.fault.link.factor,
+      &spec.fault.link.flap_interval_us, &spec.fault.link.flap_duration_us};
+  constexpr std::string_view kNames[] = {"np", "nd", "bi", "bd", "sf",
+                                         "ss", "sd", "lf", "fi", "fd"};
+  constexpr std::size_t kFields = std::size(kNames);
+  std::size_t mismatches = 0;
+  std::string first;
+  for (std::size_t base = 0; base + kFields <= corpus.size();
+       base += kFields) {
+    for (std::size_t f = 0; f < kFields; ++f) *fields[f] = corpus[base + f];
+    const std::string key = svc::cache_key(spec);
+    for (std::size_t f = 0; f < kFields; ++f) {
+      char want[64];
+      std::snprintf(want, sizeof want, "%.17g", corpus[base + f]);
+      const std::string tag = "|" + std::string(kNames[f]) + "=";
+      const std::size_t at = key.find(tag);
+      const std::size_t from = at + tag.size();
+      const std::string got = at == std::string::npos
+                                  ? "<missing>"
+                                  : key.substr(from, key.find('|', from) - from);
+      if (got != want && mismatches++ == 0)
+        first = std::string(kNames[f]) + ": " + want + " rendered as " + got;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "first: " << first;
 }
 
 TEST(Perfetto, EmitsPhaseAndMemTracksWithMetadata) {

@@ -19,6 +19,7 @@
 #include "armbar/svc/job.hpp"
 #include "armbar/svc/service.hpp"
 #include "armbar/svc/spsc_ring.hpp"
+#include "hostile_locale.hpp"
 
 namespace {
 
@@ -224,6 +225,38 @@ TEST(CacheKey, CarriesSchemaVersion) {
             0u);
 }
 
+TEST(CacheKey, GoldenV2KeyIsPinned) {
+  // Every field set, every fault double non-round: the rendering of a key
+  // (printf "%.17g" bytes for doubles) must never change silently, or
+  // every cached entry and every external cache dump would be re-keyed.
+  svc::JobSpec spec;
+  spec.machine = "thunderx2";
+  spec.algo = "mcs";
+  spec.threads = 48;
+  spec.iterations = 30;
+  spec.warmup = 4;
+  spec.placement = "scatter";
+  spec.fault.noise.period_us = 0.1;
+  spec.fault.noise.duration_us = 1e-7;
+  spec.fault.burst.interval_us = 12345.678;
+  spec.fault.burst.duration_us = 2.5e-3;
+  spec.fault.straggler.fraction = 0.3;
+  spec.fault.straggler.slowdown = 1.0 / 3.0 + 2.0;
+  spec.fault.straggler.dwell_us = 40.25e21;
+  spec.fault.link.min_layer = 2;
+  spec.fault.link.factor = 1.1;
+  spec.fault.link.flap_interval_us = 123456789.123;
+  spec.fault.link.flap_duration_us = 0.07;
+  spec.fault.seed = 987654321;
+  EXPECT_EQ(svc::cache_key(spec),
+            "v2|m=thunderx2|a=mcs|t=48|i=30|w=4|p=scatter"
+            "|np=0.10000000000000001|nd=9.9999999999999995e-08"
+            "|bi=12345.678|bd=0.0025000000000000001"
+            "|sf=0.29999999999999999|ss=2.3333333333333335"
+            "|sd=4.0249999999999997e+22|ll=2|lf=1.1000000000000001"
+            "|fi=123456789.123|fd=0.070000000000000007|fs=987654321");
+}
+
 // -- ResultCache ------------------------------------------------------------
 
 TEST(ResultCache, HitMissCountersAndFirstInsertWins) {
@@ -363,6 +396,34 @@ TEST(ServiceIdentity, EmptyStream) {
     EXPECT_EQ(daemon, oneshot_output("", 1));
     EXPECT_NE(daemon.find("\"runs\": 0"), std::string::npos);  // summary only
   }
+}
+
+TEST(ServiceIdentity, OutputIgnoresTheStreamLocale) {
+  // Past job 999 a grouping locale would print the index as "1.000";
+  // result lines and the summary must be the classic bytes regardless.
+  std::string jobs;
+  for (int i = 0; i < 1002; ++i)
+    jobs += "{\"machine\": \"kunpeng920\", \"algo\": \"sense\", "
+            "\"threads\": 4, \"iterations\": 2}\n";
+  const auto run = [&](bool daemon, bool hostile) {
+    std::istringstream in(jobs);
+    std::ostringstream out;
+    if (hostile) out.imbue(test_support::hostile_locale());
+    if (daemon) {
+      svc::ServiceOptions opts;
+      opts.workers = 2;
+      svc::SweepService(opts).serve(in, out);
+    } else {
+      svc::SweepService::run_oneshot(in, out, 2);
+    }
+    return out.str();
+  };
+  const std::string reference = run(/*daemon=*/false, /*hostile=*/false);
+  ASSERT_NE(reference.find("{\"job\": 1001, "), std::string::npos);
+  ASSERT_NE(reference.find("\"runs\": 1002,"), std::string::npos);
+  EXPECT_EQ(run(/*daemon=*/false, /*hostile=*/true), reference);
+  EXPECT_EQ(run(/*daemon=*/true, /*hostile=*/true), reference);
+  EXPECT_EQ(run(/*daemon=*/true, /*hostile=*/false), reference);
 }
 
 // -- intake hardening (bounded lines, EOF mid-line) -------------------------
