@@ -160,6 +160,10 @@ int main(int argc, char** argv) {
     // Service modes bypass the sweep-table machinery entirely: results go
     // to stdout (the comparable stream), accounting to stderr.
     if (args.has("jobs") || args.has("daemon")) {
+      // Unsynchronised standard streams are buffered, so the service
+      // reads stdin and writes stdout in bulk rather than a character
+      // at a time through C stdio.  Nothing has used them yet.
+      std::ios::sync_with_stdio(false);
       const std::string jobs_path = args.get_or("jobs", "-");
       std::ifstream jobs_file;
       std::istream* in = &std::cin;

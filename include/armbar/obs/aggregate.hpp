@@ -15,6 +15,7 @@
 #include <iosfwd>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "armbar/obs/metrics.hpp"
@@ -62,11 +63,32 @@ std::string explain(const MetricsReport& report,
 
 // -- sweep roll-up ----------------------------------------------------------
 
-/// Cross-machine/cross-algorithm aggregation of per-job MetricsReports.
-/// Rows preserve report (= job) order; per-machine totals appear in
-/// first-occurrence order, so the summary is deterministic for a
-/// deterministic sweep regardless of worker count.
-struct SweepSummary {
+/// The part of a roll-up that folds every report together: per-machine
+/// totals, in first-occurrence order, and the trace-overflow counters.
+struct SweepTotals {
+  /// Totals per machine (layer indices are machine-relative, so
+  /// cross-machine layer totals would be meaningless).
+  struct MachineTotals {
+    std::string machine;
+    std::vector<std::string> layer_names;
+    /// [phase][layer] remote-transfer totals, phase indexed by obs::Phase.
+    std::vector<std::vector<std::uint64_t>> phase_layer_transfers;
+    std::uint64_t total_ops = 0;
+    std::uint64_t rfo_invalidations = 0;
+    int runs = 0;
+  };
+
+  std::vector<MachineTotals> machines;
+  /// Summed log-overflow accounting across jobs (counters stay exact).
+  std::size_t dropped_events = 0;
+  std::size_t dropped_spans = 0;
+};
+
+/// Cross-machine/cross-algorithm aggregation of per-job MetricsReports:
+/// the totals plus one row per report.  Rows preserve report (= job)
+/// order, so the summary is deterministic for a deterministic sweep
+/// regardless of worker count.
+struct SweepSummary : SweepTotals {
   /// One row per report.
   struct Row {
     std::string machine;
@@ -86,28 +108,11 @@ struct SweepSummary {
     std::vector<std::uint64_t> layer_transfers;
   };
 
-  /// Totals per machine (layer indices are machine-relative, so
-  /// cross-machine layer totals would be meaningless).
-  struct MachineTotals {
-    std::string machine;
-    std::vector<std::string> layer_names;
-    /// [phase][layer] remote-transfer totals, phase indexed by obs::Phase.
-    std::vector<std::vector<std::uint64_t>> phase_layer_transfers;
-    std::uint64_t total_ops = 0;
-    std::uint64_t rfo_invalidations = 0;
-    int runs = 0;
-  };
-
   std::vector<Row> rows;
-  std::vector<MachineTotals> machines;
-  /// Summed log-overflow accounting across jobs (counters stay exact).
-  std::size_t dropped_events = 0;
-  std::size_t dropped_spans = 0;
 };
 
-/// The roll-up itself, over reports owned elsewhere (the service keeps
-/// one pointer per job into its result cache instead of a report copy).
-/// No pointer may be null.
+/// The roll-up itself, over reports owned elsewhere.  No pointer may be
+/// null.
 SweepSummary aggregate(std::span<const MetricsReport* const> reports);
 
 /// Adapters over the pointer form; neither copies a report.
@@ -116,12 +121,28 @@ SweepSummary aggregate(const std::vector<MetricsReport>& reports);
 /// Convenience: aggregate straight from SweepDriver::run_with_metrics.
 SweepSummary aggregate(const std::vector<simbar::MeteredRun>& runs);
 
+/// The totals alone, without building a row per report.  With rows from
+/// render_row, write_json(os, aggregate_totals(r), rows) streams the same
+/// bytes as write_json(os, aggregate(r)); the service renders each
+/// cached cell's row once and splices it into every summary that needs
+/// it.  No pointer may be null.
+SweepTotals aggregate_totals(std::span<const MetricsReport* const> reports);
+
+/// The summary-document row object for one report, exactly as write_json
+/// renders it inside "rows" (no separator, no trailing newline).
+std::string render_row(const MetricsReport& report);
+
 /// Stream pretty-printed JSON (schema: docs/TRACING.md §7) to @p os in
 /// chunks of a few KB, so the document is never held whole.
 /// Locale-independent — neither the global locale nor @p os's own locale
 /// reaches the bytes — and strictly valid JSON (non-finite doubles are
 /// emitted as null).
 void write_json(std::ostream& os, const SweepSummary& summary);
+
+/// The same document from totals plus rows already rendered by
+/// render_row, in report order.
+void write_json(std::ostream& os, const SweepTotals& totals,
+                std::span<const std::string_view> rows);
 
 /// write_json into a string.
 std::string to_json(const SweepSummary& summary);

@@ -27,8 +27,10 @@ namespace armbar::svc {
 
 /// One finished job, rendered.  `tail` is the result line *without* the
 /// leading job index (the index differs per occurrence; the emitter
-/// splices it in), `failed` marks an error entry, and `report` feeds the
-/// sweep-summary roll-up for successful runs.  `transient` marks a
+/// splices it in), `failed` marks an error entry, and for successful runs
+/// `report` feeds the sweep summary's machine totals while `summary_row`
+/// is the run's summary row (obs::render_row), rendered once per cell and
+/// spliced into every summary that includes it.  `transient` marks a
 /// failure that depends on the host rather than the inputs (wall-clock
 /// deadline, allocation pressure): the service retries those within its
 /// attempt budget and never caches them — only deterministic entries may
@@ -41,6 +43,7 @@ struct CachedResult {
   bool deadline = false;
   std::string tail;
   obs::MetricsReport report;
+  std::string summary_row;
 };
 
 class ResultCache {

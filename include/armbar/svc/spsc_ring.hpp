@@ -15,6 +15,12 @@
 // steady state each push/pop touches a single shared cacheline instead of
 // two.  Indices are never wrapped (64-bit, monotone); slots are addressed
 // modulo the power-of-two capacity.
+//
+// Values are exchanged with their slot, never overwritten: a push hands
+// the producer back what the slot held, and a pop leaves the consumer's
+// previous value in the slot.  Buffer-owning values (the service's job
+// lines) therefore circulate between the two sides and, once every slot
+// has carried one, a steady stream allocates nothing.
 
 #include <atomic>
 #include <cstddef>
@@ -46,26 +52,30 @@ class SpscRing {
   std::size_t capacity() const noexcept { return mask_ + 1; }
 
   /// Producer side.  Returns false when the ring is full (the value is
-  /// untouched and can be retried).
+  /// untouched and can be retried).  On success @p value holds the
+  /// slot's previous content.
   bool try_push(T&& value) {
     const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
     if (tail - head_cache_ > mask_) {
       head_cache_ = head_.load(std::memory_order_acquire);
       if (tail - head_cache_ > mask_) return false;
     }
-    slots_[tail & mask_] = std::move(value);
+    using std::swap;
+    swap(slots_[tail & mask_], value);
     tail_.store(tail + 1, std::memory_order_release);
     return true;
   }
 
-  /// Consumer side.  Returns false when the ring is empty.
+  /// Consumer side.  Returns false when the ring is empty.  On success
+  /// @p out's previous content stays behind in the slot.
   bool try_pop(T& out) {
     const std::uint64_t head = head_.load(std::memory_order_relaxed);
     if (head == tail_cache_) {
       tail_cache_ = tail_.load(std::memory_order_acquire);
       if (head == tail_cache_) return false;
     }
-    out = std::move(slots_[head & mask_]);
+    using std::swap;
+    swap(out, slots_[head & mask_]);
     head_.store(head + 1, std::memory_order_release);
     return true;
   }

@@ -117,117 +117,110 @@ std::string explain(const MetricsReport& report, double threshold) {
   return out;
 }
 
-SweepSummary aggregate(std::span<const MetricsReport* const> reports) {
-  SweepSummary summary;
-  summary.rows.reserve(reports.size());
-  for (const MetricsReport* report : reports) {
-    const MetricsReport& r = *report;
-    SweepSummary::Row row;
-    row.machine = r.machine_name;
-    row.barrier = r.barrier_name;
-    row.threads = r.threads;
-    row.iterations = r.iterations;
-    row.mean_overhead_ns = r.mean_overhead_ns;
-    row.shares = span_shares(r);
-    row.bound = classify(row.shares);
-    row.total_ops = report_total_ops(r);
-    row.rfo_invalidations = r.totals.invalidations;
-    row.layer_transfers.assign(r.layer_names.size(), 0);
-    for (const PhaseMetrics& m : r.phases) {
-      row.remote_transfers += m.remote_transfers;
-      for (std::size_t l = 0;
-           l < m.layer_transfers.size() && l < row.layer_transfers.size(); ++l)
-        row.layer_transfers[l] += m.layer_transfers[l];
-    }
-    row.rfo_per_kop =
-        row.total_ops == 0
-            ? 0.0
-            : 1000.0 * static_cast<double>(row.rfo_invalidations) /
-                  static_cast<double>(row.total_ops);
+namespace {
 
-    // Machine totals, first-occurrence order.
-    auto mt = std::find_if(
-        summary.machines.begin(), summary.machines.end(),
-        [&](const SweepSummary::MachineTotals& t) {
-          return t.machine == r.machine_name;
-        });
-    if (mt == summary.machines.end()) {
-      SweepSummary::MachineTotals fresh;
-      fresh.machine = r.machine_name;
-      fresh.layer_names = r.layer_names;
-      fresh.phase_layer_transfers.assign(
-          static_cast<std::size_t>(kNumPhases),
-          std::vector<std::uint64_t>(r.layer_names.size(), 0));
-      summary.machines.push_back(std::move(fresh));
-      mt = summary.machines.end() - 1;
-    }
-    for (int p = 0; p < kNumPhases; ++p) {
-      const auto& from = r.phases[static_cast<std::size_t>(p)].layer_transfers;
-      auto& into = mt->phase_layer_transfers[static_cast<std::size_t>(p)];
-      for (std::size_t l = 0; l < from.size() && l < into.size(); ++l)
-        into[l] += from[l];
-    }
-    mt->total_ops += row.total_ops;
-    mt->rfo_invalidations += row.rfo_invalidations;
-    ++mt->runs;
-
-    summary.dropped_events += r.dropped_events;
-    summary.dropped_spans += r.dropped_spans;
-    summary.rows.push_back(std::move(row));
+SweepSummary::Row make_row(const MetricsReport& r) {
+  SweepSummary::Row row;
+  row.machine = r.machine_name;
+  row.barrier = r.barrier_name;
+  row.threads = r.threads;
+  row.iterations = r.iterations;
+  row.mean_overhead_ns = r.mean_overhead_ns;
+  row.shares = span_shares(r);
+  row.bound = classify(row.shares);
+  row.total_ops = report_total_ops(r);
+  row.rfo_invalidations = r.totals.invalidations;
+  row.layer_transfers.assign(r.layer_names.size(), 0);
+  for (const PhaseMetrics& m : r.phases) {
+    row.remote_transfers += m.remote_transfers;
+    for (std::size_t l = 0;
+         l < m.layer_transfers.size() && l < row.layer_transfers.size(); ++l)
+      row.layer_transfers[l] += m.layer_transfers[l];
   }
-  return summary;
+  row.rfo_per_kop =
+      row.total_ops == 0
+          ? 0.0
+          : 1000.0 * static_cast<double>(row.rfo_invalidations) /
+                static_cast<double>(row.total_ops);
+  return row;
 }
 
-SweepSummary aggregate(const std::vector<MetricsReport>& reports) {
-  std::vector<const MetricsReport*> ptrs;
-  ptrs.reserve(reports.size());
-  for (const MetricsReport& r : reports) ptrs.push_back(&r);
-  return aggregate(ptrs);
+/// Add one report to the machine totals (first-occurrence order) and the
+/// trace counters.
+void fold_totals(SweepTotals& t, const MetricsReport& r) {
+  auto mt = std::find_if(t.machines.begin(), t.machines.end(),
+                         [&](const SweepTotals::MachineTotals& m) {
+                           return m.machine == r.machine_name;
+                         });
+  if (mt == t.machines.end()) {
+    SweepTotals::MachineTotals fresh;
+    fresh.machine = r.machine_name;
+    fresh.layer_names = r.layer_names;
+    fresh.phase_layer_transfers.assign(
+        static_cast<std::size_t>(kNumPhases),
+        std::vector<std::uint64_t>(r.layer_names.size(), 0));
+    t.machines.push_back(std::move(fresh));
+    mt = t.machines.end() - 1;
+  }
+  for (int p = 0; p < kNumPhases; ++p) {
+    const auto& from = r.phases[static_cast<std::size_t>(p)].layer_transfers;
+    auto& into = mt->phase_layer_transfers[static_cast<std::size_t>(p)];
+    for (std::size_t l = 0; l < from.size() && l < into.size(); ++l)
+      into[l] += from[l];
+  }
+  mt->total_ops += report_total_ops(r);
+  mt->rfo_invalidations += r.totals.invalidations;
+  ++mt->runs;
+  t.dropped_events += r.dropped_events;
+  t.dropped_spans += r.dropped_spans;
 }
 
-SweepSummary aggregate(const std::vector<simbar::MeteredRun>& runs) {
-  std::vector<const MetricsReport*> ptrs;
-  ptrs.reserve(runs.size());
-  for (const simbar::MeteredRun& r : runs) ptrs.push_back(&r.report);
-  return aggregate(ptrs);
-}
-
-void write_json(std::ostream& out, const SweepSummary& s) {
+/// One row object of the summary document, from its opening brace to
+/// its closing one.  Every rendered row goes through here.
+void write_row(detail::JsonSink& os, const SweepSummary::Row& r) {
   using detail::escaped;
   using detail::json_num;
+  os << "    {\n";
+  os << "      \"machine\": \"" << escaped(r.machine) << "\",\n";
+  os << "      \"barrier\": \"" << escaped(r.barrier) << "\",\n";
+  os << "      \"threads\": " << r.threads << ",\n";
+  os << "      \"iterations\": " << r.iterations << ",\n";
+  os << "      \"mean_overhead_ns\": " << json_num(r.mean_overhead_ns)
+     << ",\n";
+  os << "      \"bound\": \"" << to_string(r.bound) << "\",\n";
+  os << "      \"span_shares\": {\"arrival\": " << json_num(r.shares.arrival)
+     << ", \"notification\": " << json_num(r.shares.notification)
+     << ", \"other\": " << json_num(r.shares.other) << "},\n";
+  os << "      \"total_ops\": " << r.total_ops << ",\n";
+  os << "      \"remote_transfers\": " << r.remote_transfers << ",\n";
+  os << "      \"rfo_invalidations\": " << r.rfo_invalidations << ",\n";
+  os << "      \"rfo_per_kop\": " << json_num(r.rfo_per_kop) << ",\n";
+  os << "      \"layer_transfers\": [";
+  for (std::size_t l = 0; l < r.layer_transfers.size(); ++l) {
+    if (l > 0) os << ',';
+    os << r.layer_transfers[l];
+  }
+  os << "]\n    }";
+}
+
+/// The summary document around @p runs rows; @p row(os, i) writes row i.
+template <typename WriteRow>
+void write_document(std::ostream& out, const SweepTotals& t, std::size_t runs,
+                    WriteRow&& row) {
+  using detail::escaped;
   detail::JsonSink os(out);
   os << "{\n";
-  os << "  \"runs\": " << s.rows.size() << ",\n";
+  os << "  \"runs\": " << runs << ",\n";
   os << "  \"rows\": [";
-  for (std::size_t i = 0; i < s.rows.size(); ++i) {
-    const SweepSummary::Row& r = s.rows[i];
+  for (std::size_t i = 0; i < runs; ++i) {
     if (i > 0) os << ',';
-    os << "\n    {\n";
-    os << "      \"machine\": \"" << escaped(r.machine) << "\",\n";
-    os << "      \"barrier\": \"" << escaped(r.barrier) << "\",\n";
-    os << "      \"threads\": " << r.threads << ",\n";
-    os << "      \"iterations\": " << r.iterations << ",\n";
-    os << "      \"mean_overhead_ns\": " << json_num(r.mean_overhead_ns)
-       << ",\n";
-    os << "      \"bound\": \"" << to_string(r.bound) << "\",\n";
-    os << "      \"span_shares\": {\"arrival\": " << json_num(r.shares.arrival)
-       << ", \"notification\": " << json_num(r.shares.notification)
-       << ", \"other\": " << json_num(r.shares.other) << "},\n";
-    os << "      \"total_ops\": " << r.total_ops << ",\n";
-    os << "      \"remote_transfers\": " << r.remote_transfers << ",\n";
-    os << "      \"rfo_invalidations\": " << r.rfo_invalidations << ",\n";
-    os << "      \"rfo_per_kop\": " << json_num(r.rfo_per_kop) << ",\n";
-    os << "      \"layer_transfers\": [";
-    for (std::size_t l = 0; l < r.layer_transfers.size(); ++l) {
-      if (l > 0) os << ',';
-      os << r.layer_transfers[l];
-    }
-    os << "]\n    }";
+    os << '\n';
+    row(os, i);
   }
   os << "\n  ],\n";
   os << "  \"machines\": [";
-  for (std::size_t i = 0; i < s.machines.size(); ++i) {
-    const SweepSummary::MachineTotals& m = s.machines[i];
+  for (std::size_t i = 0; i < t.machines.size(); ++i) {
+    const SweepTotals::MachineTotals& m = t.machines[i];
     if (i > 0) os << ',';
     os << "\n    {\n";
     os << "      \"machine\": \"" << escaped(m.machine) << "\",\n";
@@ -255,10 +248,59 @@ void write_json(std::ostream& out, const SweepSummary& s) {
     os << "    }";
   }
   os << "\n  ],\n";
-  os << "  \"trace\": {\"dropped_events\": " << s.dropped_events
-     << ", \"dropped_spans\": " << s.dropped_spans << "}\n";
+  os << "  \"trace\": {\"dropped_events\": " << t.dropped_events
+     << ", \"dropped_spans\": " << t.dropped_spans << "}\n";
   os << "}\n";
   os.flush();
+}
+
+}  // namespace
+
+SweepTotals aggregate_totals(std::span<const MetricsReport* const> reports) {
+  SweepTotals totals;
+  for (const MetricsReport* r : reports) fold_totals(totals, *r);
+  return totals;
+}
+
+SweepSummary aggregate(std::span<const MetricsReport* const> reports) {
+  SweepSummary summary;
+  static_cast<SweepTotals&>(summary) = aggregate_totals(reports);
+  summary.rows.reserve(reports.size());
+  for (const MetricsReport* r : reports) summary.rows.push_back(make_row(*r));
+  return summary;
+}
+
+SweepSummary aggregate(const std::vector<MetricsReport>& reports) {
+  std::vector<const MetricsReport*> ptrs;
+  ptrs.reserve(reports.size());
+  for (const MetricsReport& r : reports) ptrs.push_back(&r);
+  return aggregate(ptrs);
+}
+
+SweepSummary aggregate(const std::vector<simbar::MeteredRun>& runs) {
+  std::vector<const MetricsReport*> ptrs;
+  ptrs.reserve(runs.size());
+  for (const simbar::MeteredRun& r : runs) ptrs.push_back(&r.report);
+  return aggregate(ptrs);
+}
+
+std::string render_row(const MetricsReport& report) {
+  detail::JsonSink os;
+  write_row(os, make_row(report));
+  return os.take();
+}
+
+void write_json(std::ostream& out, const SweepSummary& s) {
+  write_document(out, s, s.rows.size(),
+                 [&](detail::JsonSink& os, std::size_t i) {
+                   write_row(os, s.rows[i]);
+                 });
+}
+
+void write_json(std::ostream& out, const SweepTotals& totals,
+                std::span<const std::string_view> rows) {
+  write_document(out, totals, rows.size(),
+                 [&](detail::JsonSink& os, std::size_t i) { os << rows[i]; });
 }
 
 std::string to_json(const SweepSummary& s) {

@@ -20,6 +20,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <utility>
 
 namespace armbar::obs::detail {
 
@@ -77,19 +78,20 @@ inline std::string escaped(const std::string& s) {
   return out;
 }
 
-/// Buffered JSON text writer over an ostream.  Numbers are rendered with
-/// std::to_chars and the text reaches the stream only through
-/// ostream::write, so neither the global locale nor the target stream's
-/// locale or format flags can touch the bytes.  The buffer is handed to
-/// the stream every kFlushBytes, so a document of any size is never held
-/// whole; call flush() once the document is complete.
+/// Buffered JSON text writer.  Numbers are rendered with std::to_chars,
+/// so no locale or format flag can touch the bytes.  Over an ostream, the
+/// text reaches the stream only through ostream::write, in chunks of
+/// kFlushBytes, so a document of any size is never held whole; call
+/// flush() once the document is complete.  Default-constructed, the sink
+/// collects into a string that take() hands over.
 class JsonSink {
  public:
   static constexpr std::size_t kFlushBytes = 8192;
 
-  explicit JsonSink(std::ostream& os) : os_(os) {
+  explicit JsonSink(std::ostream& os) : os_(&os) {
     buf_.reserve(kFlushBytes + 256);
   }
+  JsonSink() = default;
   JsonSink(const JsonSink&) = delete;
   JsonSink& operator=(const JsonSink&) = delete;
 
@@ -111,18 +113,23 @@ class JsonSink {
   /// Doubles must go through json_num (JSON null for NaN/Inf).
   JsonSink& operator<<(double) = delete;
 
+  /// Hand the buffered text to the stream (stream mode only).
   void flush() {
-    os_.write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
+    if (os_ == nullptr) return;
+    os_->write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
     buf_.clear();
   }
 
+  /// The collected text (string mode).
+  std::string take() { return std::move(buf_); }
+
  private:
   JsonSink& spill() {
-    if (buf_.size() >= kFlushBytes) flush();
+    if (os_ != nullptr && buf_.size() >= kFlushBytes) flush();
     return *this;
   }
 
-  std::ostream& os_;
+  std::ostream* os_ = nullptr;
   std::string buf_;
 };
 

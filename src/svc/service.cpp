@@ -7,11 +7,11 @@
 #include <cstdint>
 #include <deque>
 #include <istream>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <ostream>
-#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -77,24 +77,20 @@ std::string oversized_tail(std::size_t max_bytes) {
                            "");
 }
 
-/// One result line.  The index goes through std::to_chars, never through
-/// `out <<`: a caller's stream imbued with a grouping locale would
-/// otherwise print job 1000 as "1.000".
-void emit_line(std::ostream& out, std::uint64_t seq, const std::string& tail) {
+/// One result line, assembled in the caller's reused @p buf and handed
+/// to the stream in a single write.  The index goes through
+/// std::to_chars, never through `out <<`: a caller's stream imbued with a
+/// grouping locale would otherwise print job 1000 as "1.000".
+void emit_line(std::ostream& out, std::string& buf, std::uint64_t seq,
+               std::string_view tail) {
   static constexpr std::string_view kHead = "{\"job\": ";
-  char head[kHead.size() + 24];
-  kHead.copy(head, kHead.size());
-  const auto r = std::to_chars(head + kHead.size(), head + sizeof head, seq);
-  out.write(head, r.ptr - head);
-  out.write(tail.data(), static_cast<std::streamsize>(tail.size()));
-  out.put('\n');
-}
-
-/// The end-of-stream summary over every successful job's report.
-void emit_summary(std::ostream& out,
-                  std::span<const obs::MetricsReport* const> reports) {
-  obs::write_json(out, obs::aggregate(reports));
-  out.put('\n');
+  char index[24];
+  const auto r = std::to_chars(index, index + sizeof index, seq);
+  buf.assign(kHead);
+  buf.append(index, r.ptr);
+  buf.append(tail);
+  buf.push_back('\n');
+  out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
 }
 
 /// Run @p fn under the sweep layer's error taxonomy: on failure, @p out
@@ -203,6 +199,7 @@ std::shared_ptr<CachedResult> compute_cell(const JobSpec& spec,
         simbar::measure_barrier(machine, factory, cfg, &tracer);
     entry->report = obs::make_metrics(machine, cfg, result, tracer);
     entry->tail = render_result_tail(spec, result);
+    entry->summary_row = obs::render_row(entry->report);
   });
   return entry;
 }
@@ -222,49 +219,68 @@ void retry_pause(std::uint64_t seq, int failed_attempt) {
 }
 
 /// Bounded line reader.  Reads up to the next '\n' or EOF; characters
-/// beyond @p max_bytes are swallowed (the stream stays line-synced) and
-/// the line is reported kOversized with only the prefix kept — enough to
+/// beyond the bound are swallowed (the stream stays line-synced) and the
+/// line is reported kOversized with only the prefix kept — enough to
 /// tell a comment from a job.  EOF with no characters read is kEof; EOF
 /// mid-line yields the partial line exactly once, like std::getline.
+/// istream::getline and ignore scan the stream buffer's get area in bulk,
+/// and the line lands in one buffer sized once, so reading a line
+/// allocates nothing.  While the reader lives, the stream is untied: a
+/// tied output stream (std::cin's std::cout) would otherwise be flushed
+/// before every line.
 enum class LineStatus { kEof, kLine, kOversized };
 
-LineStatus read_job_line(std::istream& in, std::string& line,
-                         std::size_t max_bytes) {
-  line.clear();
-  std::streambuf* sb = in.rdbuf();
-  if (sb == nullptr || !in.good()) return LineStatus::kEof;
-  bool any = false;
-  bool oversized = false;
-  for (;;) {
-    const int ch = sb->sbumpc();
-    if (ch == std::char_traits<char>::eof()) {
-      in.setstate(std::ios::eofbit);
-      if (!any) return LineStatus::kEof;
-      return oversized ? LineStatus::kOversized : LineStatus::kLine;
+class LineReader {
+ public:
+  LineReader(std::istream& in, std::size_t max_bytes)
+      : in_(in),
+        tie_(in.tie(nullptr)),
+        size_(max_bytes + 1),
+        buf_(std::make_unique_for_overwrite<char[]>(size_)) {}
+  ~LineReader() { in_.tie(tie_); }
+  LineReader(const LineReader&) = delete;
+  LineReader& operator=(const LineReader&) = delete;
+
+  LineStatus read() {
+    len_ = 0;
+    if (!in_.good()) return LineStatus::kEof;
+    in_.getline(buf_.get(), static_cast<std::streamsize>(size_));
+    const auto got = static_cast<std::size_t>(in_.gcount());
+    if (in_.bad() || got == 0) return LineStatus::kEof;
+    if (in_.fail()) {
+      // The bound filled before a '\n': keep the prefix, drop the rest.
+      in_.clear(in_.rdstate() & ~std::ios::failbit);
+      in_.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+      len_ = got;
+      return LineStatus::kOversized;
     }
-    any = true;
-    if (ch == '\n')
-      return oversized ? LineStatus::kOversized : LineStatus::kLine;
-    if (line.size() < max_bytes)
-      line.push_back(static_cast<char>(ch));
-    else
-      oversized = true;
+    len_ = in_.eof() ? got : got - 1;  // gcount counts the '\n'
+    return LineStatus::kLine;
   }
-}
+
+  std::string_view line() const { return {buf_.get(), len_}; }
+
+ private:
+  std::istream& in_;
+  std::ostream* tie_;
+  std::size_t size_;
+  std::unique_ptr<char[]> buf_;  // uninitialized: only read up to len_
+  std::size_t len_ = 0;
+};
 
 /// Skip the non-job stream lines the service contract allows: blank
 /// lines and '#' comments.
-bool is_job_line(const std::string& line) {
+bool is_job_line(std::string_view line) {
   const auto first = line.find_first_not_of(" \t\r");
-  return first != std::string::npos && line[first] != '#';
+  return first != std::string_view::npos && line[first] != '#';
 }
 
 /// An oversized line whose kept prefix opens a comment is still a
 /// comment (skipped); anything else oversized becomes a parse-error
 /// record — never a silent drop.
-bool is_comment_prefix(const std::string& line) {
+bool is_comment_prefix(std::string_view line) {
   const auto first = line.find_first_not_of(" \t\r");
-  return first != std::string::npos && line[first] == '#';
+  return first != std::string_view::npos && line[first] == '#';
 }
 
 }  // namespace
@@ -286,7 +302,9 @@ struct SweepService::Impl {
     std::shared_ptr<const CachedResult> entry;
   };
 
-  using Ring = SpscRing<std::unique_ptr<Request>>;
+  /// Requests travel by value: the ring exchanges them with its slots, so
+  /// line buffers circulate between intake and workers without allocation.
+  using Ring = SpscRing<Request>;
 
   /// The ring is behind shared_ptr so a superseded worker (which still
   /// holds a reference from its spawn) can be abandoned without racing
@@ -368,9 +386,9 @@ struct SweepService::Impl {
   void worker_loop(Worker& self, Ring& ring, std::uint64_t my_epoch) {
     // Worker-private pointer cache in front of the shared registry.
     std::unordered_map<std::string, const topo::Machine*> local_machines;
+    Request req;
     int idle = 0;
     for (;;) {
-      std::unique_ptr<Request> req;
       while (!ring.try_pop(req)) {
         if (stop.load(std::memory_order_acquire)) return;
         if (supervised &&
@@ -395,8 +413,8 @@ struct SweepService::Impl {
         self.busy_since_ns.store(now_ns(), std::memory_order_release);
       }
       try {
-        if (opts.chaos.before_job) opts.chaos.before_job(req->seq);
-        process(*req, local_machines, self, my_epoch);
+        if (opts.chaos.before_job) opts.chaos.before_job(req.seq);
+        process(req, local_machines, self, my_epoch);
       } catch (...) {
         // An escaped exception (in practice: a chaos-hook kill) ends this
         // worker.  Mark it dead — epoch-checked under pub_mu so a zombie
@@ -537,6 +555,7 @@ ServiceStats SweepService::serve(std::istream& in, std::ostream& out) {
   // One shared pointer per successful job, for the summary: on a warm
   // stream these share the cache's entries, so nothing is copied.
   std::vector<std::shared_ptr<const CachedResult>> done;
+  std::string out_line;  // emit_line's reused buffer
 
   // Supervision bookkeeping (intake-thread-private; sized only when on).
   // outstanding[w]: seqs handed to worker w, not yet published.
@@ -573,7 +592,7 @@ ServiceStats SweepService::serve(std::istream& in, std::ostream& out) {
     while (emitted < submitted) {
       Impl::Slot& slot = impl.slots[emitted & mask];
       if (!slot.ready.load(std::memory_order_acquire)) return;
-      emit_line(out, emitted, slot.entry->tail);
+      emit_line(out, out_line, emitted, slot.entry->tail);
       if (slot.entry->failed) {
         ++failed;
         slot.entry.reset();
@@ -661,9 +680,7 @@ ServiceStats SweepService::serve(std::istream& in, std::ostream& out) {
         requeue_q.pop_front();
         continue;
       }
-      auto req = std::make_unique<Impl::Request>();
-      req->seq = seq;
-      req->line = line_of[idx];
+      Impl::Request req{seq, line_of[idx]};
       bool pushed = false;
       for (std::size_t k = 0; k < uworkers; ++k) {
         const std::size_t cand = (rr + k) % uworkers;
@@ -690,12 +707,13 @@ ServiceStats SweepService::serve(std::istream& in, std::ostream& out) {
   };
 
   util::SpinWait waiter;
-  std::string line;
+  LineReader reader(in, impl.opts.max_line_bytes);
+  Impl::Request req;  // reused: each push swaps in a recycled buffer
   for (;;) {
     if (impl.stop_requested.load(std::memory_order_acquire)) break;
-    const LineStatus st =
-        read_job_line(in, line, impl.opts.max_line_bytes);
+    const LineStatus st = reader.read();
     if (st == LineStatus::kEof) break;
+    const std::string_view line = reader.line();
     if (st == LineStatus::kOversized) {
       if (is_comment_prefix(line)) continue;
       while (submitted - emitted >= window) {
@@ -734,12 +752,11 @@ ServiceStats SweepService::serve(std::istream& in, std::ostream& out) {
       drain_ready();
       continue;
     }
-    auto req = std::make_unique<Impl::Request>();
-    req->seq = submitted;
-    req->line = std::move(line);
+    req.seq = submitted;
+    req.line.assign(line);
     const std::size_t target = submitted % uworkers;
     const std::size_t idx = submitted & mask;
-    if (supervised) line_of[idx] = req->line;
+    if (supervised) line_of[idx].assign(line);
     // Re-fetch the ring each attempt: supervise() may have respawned the
     // target with a fresh one.
     while (!impl.workers[target]->ring->try_push(std::move(req))) {
@@ -763,10 +780,18 @@ ServiceStats SweepService::serve(std::istream& in, std::ostream& out) {
   }
 
   {
+    // Only the machine totals are folded here; every row was rendered
+    // once, when its cell was computed.
     std::vector<const obs::MetricsReport*> reports;
+    std::vector<std::string_view> rows;
     reports.reserve(done.size());
-    for (const auto& e : done) reports.push_back(&e->report);
-    emit_summary(out, reports);
+    rows.reserve(done.size());
+    for (const auto& e : done) {
+      reports.push_back(&e->report);
+      rows.push_back(e->summary_row);
+    }
+    obs::write_json(out, obs::aggregate_totals(reports), rows);
+    out.put('\n');
   }
 
   stats.jobs = submitted;
@@ -800,11 +825,11 @@ ServiceStats SweepService::run_oneshot(std::istream& in, std::ostream& out,
   std::vector<LineSlot> lines;
   std::vector<simbar::SweepJob> jobs;
 
-  std::string line;
+  LineReader reader(in, ServiceOptions::kDefaultMaxLineBytes);
   for (;;) {
-    const LineStatus st =
-        read_job_line(in, line, ServiceOptions::kDefaultMaxLineBytes);
+    const LineStatus st = reader.read();
     if (st == LineStatus::kEof) break;
+    const std::string_view line = reader.line();
     if (st == LineStatus::kOversized) {
       if (is_comment_prefix(line)) continue;
       LineSlot slot;
@@ -819,7 +844,7 @@ ServiceStats SweepService::run_oneshot(std::istream& in, std::ostream& out,
     CachedResult scratch;
     bool parsed = false;
     try {
-      spec = parse_job_line(line);
+      spec = parse_job_line(std::string(line));
       parsed = true;
     } catch (const std::exception& e) {
       slot.failed = true;
@@ -855,6 +880,7 @@ ServiceStats SweepService::run_oneshot(std::istream& in, std::ostream& out,
   std::size_t err_cursor = 0;
 
   std::uint64_t failed = 0;
+  std::string out_line;
   std::vector<const obs::MetricsReport*> reports;  // into outcome.results
   for (std::size_t i = 0; i < lines.size(); ++i) {
     LineSlot& slot = lines[i];
@@ -878,10 +904,11 @@ ServiceStats SweepService::run_oneshot(std::istream& in, std::ostream& out,
       }
     }
     if (slot.failed) ++failed;
-    emit_line(out, i, slot.tail);
+    emit_line(out, out_line, i, slot.tail);
   }
 
-  emit_summary(out, reports);
+  obs::write_json(out, obs::aggregate(reports));
+  out.put('\n');
 
   ServiceStats stats;
   stats.jobs = lines.size();

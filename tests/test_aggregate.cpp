@@ -4,8 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <locale>
+#include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "armbar/obs/aggregate.hpp"
@@ -230,6 +234,67 @@ TEST(Aggregate, PointerCoreMatchesValueAdapter) {
   EXPECT_EQ(to_table(by_pointer), to_table(by_value));
   EXPECT_EQ(by_pointer.dropped_events, by_value.dropped_events);
   EXPECT_TRUE(aggregate(std::span<const MetricsReport* const>{}).rows.empty());
+}
+
+/// The service's summary: totals folded over the reports, each row
+/// rendered on its own by render_row and spliced in, written to a stream
+/// imbued with @p loc.
+std::string spliced_json(const std::vector<MetricsReport>& reports,
+                         const std::locale& loc = std::locale::classic()) {
+  std::vector<const MetricsReport*> ptrs;
+  std::vector<std::string> rendered;
+  for (const MetricsReport& r : reports) {
+    ptrs.push_back(&r);
+    rendered.push_back(render_row(r));
+  }
+  const std::vector<std::string_view> rows(rendered.begin(), rendered.end());
+  std::ostringstream os;
+  os.imbue(loc);
+  write_json(os, aggregate_totals(ptrs), rows);
+  return os.str();
+}
+
+TEST(Aggregate, SplicedRowsMatchTheFullRollUp) {
+  std::vector<MetricsReport> reports = many_reports();  // machines m"1, m2
+  // No spans at all: every share is 0.
+  reports.push_back(synthetic_report("m3", "quiet", 0.0, 0.0));
+  // A non-finite span: the shares (and this overhead) render as null.
+  MetricsReport odd = synthetic_report(
+      "m2", "odd", std::numeric_limits<double>::quiet_NaN(), 5.0);
+  odd.mean_overhead_ns = std::numeric_limits<double>::infinity();
+  reports.push_back(std::move(odd));
+  reports.push_back(synthetic_report("m\"1", "last", 7.0, 3.0));
+  reports.back().dropped_spans = 3;
+
+  const std::string doc = to_json(aggregate(reports));
+  EXPECT_NE(doc.find("\"span_shares\": {\"arrival\": 0, \"notification\": 0, "
+                     "\"other\": 0}"),
+            std::string::npos);
+  EXPECT_NE(doc.find("\"mean_overhead_ns\": null"), std::string::npos);
+  EXPECT_NE(doc.find("\"span_shares\": {\"arrival\": null, "
+                     "\"notification\": null, \"other\": null}"),
+            std::string::npos);
+  // many_reports() drops 0 + 1 + ... + 239 events.
+  EXPECT_NE(doc.find("\"trace\": {\"dropped_events\": 28680, "
+                     "\"dropped_spans\": 3}"),
+            std::string::npos);
+  EXPECT_EQ(aggregate_totals(std::span<const MetricsReport* const>{})
+                .machines.size(),
+            0u);
+
+  EXPECT_EQ(spliced_json(reports), doc);
+  EXPECT_EQ(spliced_json({}), to_json(aggregate(std::vector<MetricsReport>{})));
+  EXPECT_EQ(spliced_json(reports, test_support::hostile_locale()), doc);
+  {
+    test_support::GlobalLocaleGuard guard;
+    EXPECT_EQ(spliced_json(reports), doc);
+  }
+
+  // A rendered row is exactly the row object inside the document.
+  const std::string row = render_row(reports.front());
+  EXPECT_EQ(row.substr(0, 6), "    {\n");
+  EXPECT_EQ(row.substr(row.size() - 6), "\n    }");
+  EXPECT_NE(doc.find("\"rows\": [\n" + row + ",\n"), std::string::npos);
 }
 
 TEST(Aggregate, RealSweepRoundTrip) {

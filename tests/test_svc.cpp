@@ -8,7 +8,9 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <random>
 #include <sstream>
+#include <streambuf>
 #include <string>
 #include <thread>
 #include <vector>
@@ -501,6 +503,91 @@ TEST(ServiceIntake, OneshotBoundsLinesToo) {
   svc::ServiceOptions opts;
   opts.workers = 2;
   EXPECT_EQ(daemon_output(jobs, opts), reference);
+}
+
+/// An input buffer that hands the text out in seeded chunks of 1-7
+/// bytes, so line ends, the line bound and EOF fall anywhere relative to
+/// the get area the reader scans.
+class ChunkedSource final : public std::streambuf {
+ public:
+  ChunkedSource(std::string text, std::uint64_t seed)
+      : text_(std::move(text)), rng_(seed) {}
+
+ protected:
+  int_type underflow() override {
+    if (gptr() < egptr()) return traits_type::to_int_type(*gptr());
+    if (pos_ == text_.size()) return traits_type::eof();
+    const std::size_t n =
+        std::min<std::size_t>(1 + rng_() % 7, text_.size() - pos_);
+    char* p = text_.data() + pos_;
+    setg(p, p, p + n);
+    pos_ += n;
+    return traits_type::to_int_type(*p);
+  }
+
+ private:
+  std::string text_;
+  std::mt19937_64 rng_;
+  std::size_t pos_ = 0;
+};
+
+/// @p body padded with blanks inside the object to exactly @p bytes.
+std::string padded_job(const std::string& body, std::size_t bytes) {
+  std::string line = "{" + body;
+  line += std::string(bytes - line.size() - 1, ' ');
+  return line + "}";
+}
+
+TEST(ServiceIntake, ChunkedInputMatchesOneshotAtTheLineBound) {
+  constexpr std::size_t kMax = svc::ServiceOptions::kDefaultMaxLineBytes;
+  const std::string job =
+      "\"machine\": \"kunpeng920\", \"algo\": \"dis\", \"threads\": 8, "
+      "\"iterations\": 4";
+  std::string jobs;
+  jobs += padded_job(job, kMax) + "\n";      // at the bound: a job
+  jobs += padded_job(job, kMax + 1) + "\n";  // one past: a parse error
+  jobs += "# " + std::string(kMax + 100, 'c') + "\n";  // oversized comment
+  jobs += "{\"algo\": \"sense\", \"threads\": 8, \"iterations\": 4}\r\n";
+  jobs += "\n\r\n \t\n# a comment\n   # an indented comment\n";
+  jobs += "{" + job + "}\n";  // a repeat of the first cell
+  jobs += "{\"algo\": \"mcs\", \"threads\": 4, \"iterations\": 3}";  // EOF
+  constexpr std::size_t kJobLines = 5;
+
+  const std::string reference = oneshot_output(jobs, 1);
+  std::size_t records = 0, pos = 0;
+  while ((pos = reference.find("{\"job\": ", pos)) != std::string::npos) {
+    ++records;
+    pos += 8;
+  }
+  ASSERT_EQ(records, kJobLines) << reference;
+  EXPECT_NE(reference.find("{\"job\": 1, \"error\": {\"kind\": "
+                           "\"parse-error\", \"message\": \"line exceeds "
+                           "max_line_bytes"),
+            std::string::npos);
+  EXPECT_NE(reference.find("\"runs\": 4,"), std::string::npos);
+
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    {
+      ChunkedSource src(jobs, seed);
+      std::istream in(&src);
+      std::ostringstream out;
+      svc::SweepService::run_oneshot(in, out, 1);
+      EXPECT_EQ(out.str(), reference) << "one-shot, seed " << seed;
+    }
+    for (const int workers : {1, 2}) {
+      svc::ServiceOptions opts;
+      opts.workers = workers;
+      svc::SweepService service(opts);
+      ChunkedSource src(jobs, seed);
+      std::istream in(&src);
+      std::ostringstream out;
+      const svc::ServiceStats stats = service.serve(in, out);
+      EXPECT_EQ(out.str(), reference)
+          << "serve, seed " << seed << ", workers " << workers;
+      EXPECT_EQ(stats.jobs, kJobLines);
+      EXPECT_EQ(stats.failed, 1u);
+    }
+  }
 }
 
 TEST(ServiceOptionsValidation, RejectsNonsense) {
