@@ -19,11 +19,15 @@
 //                     this run appended — the file accumulates the
 //                     throughput trajectory across revisions.
 //   --breakdown       additionally time the four policy configurations
-//                     (plain / traced / faulted / traced+faulted) and a
+//                     (plain / traced / faulted / traced+faulted, one rep
+//                     of each in turn) and a
 //                     synthetic engine-only event loop, so a regression is
 //                     attributable to the heap, the directory, or a hook
 //                     at a glance.  Also asserts the four configurations
 //                     are bit-identical (inert hooks change speed only).
+//                     Adds traced_events_per_sec (the counters-only
+//                     metrics path) to the JSON top level and the history
+//                     entry, where CI's perf gate ratchets it.
 //   --hier            additionally time a 1024-core hierarchical sweep
 //                     (topo::hier1024 x {amo, central2, hybrid, opt} x
 //                     {256, 1024} threads) — the many-core regime runs
@@ -99,7 +103,8 @@ std::string history_entry(double wall_min, double wall_median,
                           double events_per_sec, double checksum_ns,
                           int reps, int workers, double speedup,
                           bool hier, double hier_events_per_sec,
-                          double hier_checksum_ns) {
+                          double hier_checksum_ns,
+                          double traced_events_per_sec) {
   std::ostringstream os;
   char buf[256];
   std::snprintf(buf, sizeof buf,
@@ -115,6 +120,11 @@ std::string history_entry(double wall_min, double wall_median,
                   ", \"hier_events_per_sec\": %.1f, "
                   "\"hier_checksum_ns\": %.6f",
                   hier_events_per_sec, hier_checksum_ns);
+    os << buf;
+  }
+  if (traced_events_per_sec > 0.0) {
+    std::snprintf(buf, sizeof buf, ", \"traced_events_per_sec\": %.1f",
+                  traced_events_per_sec);
     os << buf;
   }
   os << "}";
@@ -135,43 +145,55 @@ struct TimedSweep {
   }
 };
 
-/// Time @p reps runs of @p jobs; checks every rep reproduces rep 0's
-/// checksum and event count.
+/// Time @p reps runs of each job list in @p configs, interleaved rep by
+/// rep so a change in host speed lands on every configuration alike;
+/// checks every rep of a configuration reproduces its rep 0's checksum
+/// and event count.
+std::vector<TimedSweep> time_sweeps(
+    const armbar::simbar::SweepDriver& driver,
+    const std::vector<const std::vector<armbar::simbar::SweepJob>*>& configs,
+    int reps, bool verbose) {
+  std::vector<TimedSweep> out(configs.size());
+  for (int rep = 0; rep < reps; ++rep) {
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+      TimedSweep& t = out[c];
+      const auto t0 = std::chrono::steady_clock::now();
+      const auto results = driver.run(*configs[c]);
+      const auto t1 = std::chrono::steady_clock::now();
+      t.walls.push_back(std::chrono::duration<double>(t1 - t0).count());
+
+      double sum = 0.0;
+      std::uint64_t events = 0;
+      for (const auto& r : results) {
+        sum += r.mean_overhead_ns;
+        events += r.events_processed;
+      }
+      if (rep == 0) {
+        t.checksum_ns = sum;
+        t.events_per_rep = events;
+      } else if (sum != t.checksum_ns || events != t.events_per_rep) {
+        std::fprintf(stderr,
+                     "perf_sim: DETERMINISM VIOLATION at rep %d "
+                     "(checksum %.6f vs %.6f, events %llu vs %llu)\n",
+                     rep, sum, t.checksum_ns,
+                     static_cast<unsigned long long>(events),
+                     static_cast<unsigned long long>(t.events_per_rep));
+        t.deterministic = false;
+        return out;
+      }
+      if (verbose)
+        std::printf("  rep %d: %.3f s  (%.2f M events/s)\n", rep,
+                    t.walls.back(),
+                    static_cast<double>(events) / t.walls.back() / 1e6);
+    }
+  }
+  return out;
+}
+
 TimedSweep time_sweep(const armbar::simbar::SweepDriver& driver,
                       const std::vector<armbar::simbar::SweepJob>& jobs,
                       int reps, bool verbose) {
-  TimedSweep out;
-  for (int rep = 0; rep < reps; ++rep) {
-    const auto t0 = std::chrono::steady_clock::now();
-    const auto results = driver.run(jobs);
-    const auto t1 = std::chrono::steady_clock::now();
-    out.walls.push_back(std::chrono::duration<double>(t1 - t0).count());
-
-    double sum = 0.0;
-    std::uint64_t events = 0;
-    for (const auto& r : results) {
-      sum += r.mean_overhead_ns;
-      events += r.events_processed;
-    }
-    if (rep == 0) {
-      out.checksum_ns = sum;
-      out.events_per_rep = events;
-    } else if (sum != out.checksum_ns || events != out.events_per_rep) {
-      std::fprintf(stderr,
-                   "perf_sim: DETERMINISM VIOLATION at rep %d "
-                   "(checksum %.6f vs %.6f, events %llu vs %llu)\n",
-                   rep, sum, out.checksum_ns,
-                   static_cast<unsigned long long>(events),
-                   static_cast<unsigned long long>(out.events_per_rep));
-      out.deterministic = false;
-      return out;
-    }
-    if (verbose)
-      std::printf("  rep %d: %.3f s  (%.2f M events/s)\n", rep,
-                  out.walls.back(),
-                  static_cast<double>(events) / out.walls.back() / 1e6);
-  }
-  return out;
+  return time_sweeps(driver, {&jobs}, reps, verbose).front();
 }
 
 /// Synthetic engine-only load: each simulated thread hops through a chain
@@ -263,7 +285,7 @@ int main(int argc, char** argv) {
 
   // -- optional policy/engine breakdown -------------------------------------
   double engine_only = 0.0;
-  TimedSweep traced, faulted, both;
+  TimedSweep base, traced, faulted, both;
   if (breakdown) {
     // One tracer per job (jobs run concurrently; a tracer is not
     // synchronized).  Capacity 0: exact counters, no event log — the
@@ -289,12 +311,17 @@ int main(int argc, char** argv) {
     for (auto& j : both_jobs) j.cfg.fault = &neutral;
 
     engine_only = engine_only_events_per_sec();
-    traced = time_sweep(driver, traced_jobs, reps, /*verbose=*/false);
-    faulted = time_sweep(driver, faulted_jobs, reps, /*verbose=*/false);
-    both = time_sweep(driver, both_jobs, reps, /*verbose=*/false);
-    if (!traced.deterministic || !faulted.deterministic ||
-        !both.deterministic)
-      return 1;
+    // The plain sweep is timed again, interleaved with the three hooked
+    // configurations: their overheads are ratios to this `base`.
+    const auto timed = time_sweeps(
+        driver, {&jobs, &traced_jobs, &faulted_jobs, &both_jobs}, reps,
+        /*verbose=*/false);
+    base = timed[0];
+    traced = timed[1];
+    faulted = timed[2];
+    both = timed[3];
+    for (const TimedSweep& t : timed)
+      if (!t.deterministic) return 1;
 
     // Inert hooks must change nothing but speed: all four policy
     // instantiations produce the same checksum and event count.
@@ -313,25 +340,27 @@ int main(int argc, char** argv) {
 
     const auto row = [&](const char* name, const TimedSweep& t) {
       const double overhead =
-          (plain.wall_min() > 0.0)
-              ? (t.wall_min() / plain.wall_min() - 1.0) * 100.0
+          (base.wall_min() > 0.0)
+              ? (t.wall_min() / base.wall_min() - 1.0) * 100.0
               : 0.0;
       std::printf("  %-16s %8.3f %8.2f   %+6.1f%%\n", name, t.wall_min(),
                   t.events_per_sec() / 1e6, overhead);
     };
-    std::printf("perf_sim breakdown (best of %d, serial sweep):\n", reps);
+    std::printf(
+        "perf_sim breakdown (best of %d interleaved reps, serial sweep):\n",
+        reps);
     std::printf("  %-16s %8s %8s   %s\n", "config", "wall_s", "Mev/s",
                 "vs plain");
     std::printf("  %-16s %8s %8.2f   %s\n", "engine-only", "-",
                 engine_only / 1e6, "(synthetic heap ceiling)");
-    row("plain", plain);
+    row("plain", base);
     row("traced", traced);
     row("faulted", faulted);
     row("traced+faulted", both);
     std::printf(
         "  directory+coherence share of plain event cost: ~%.0f%% "
         "(1 - plain/engine-only)\n",
-        (1.0 - events_per_sec / engine_only) * 100.0);
+        (1.0 - base.events_per_sec() / engine_only) * 100.0);
     std::printf(
         "  policy instantiations bit-identical: yes (checksum %.6f, "
         "%llu events)\n",
@@ -376,7 +405,8 @@ int main(int argc, char** argv) {
   history.push_back(history_entry(wall_min, wall_median, events_per_sec,
                                   plain.checksum_ns, reps, driver.workers(),
                                   speedup, hier, hier_events_per_sec,
-                                  hier_checksum_ns));
+                                  hier_checksum_ns,
+                                  breakdown ? traced.events_per_sec() : 0.0));
 
   std::FILE* f = std::fopen(out_path.c_str(), "w");
   if (!f) {
@@ -415,11 +445,13 @@ int main(int argc, char** argv) {
     std::fprintf(f, "  \"hier_checksum_ns\": %.6f,\n", hier_checksum_ns);
   }
   if (breakdown) {
+    std::fprintf(f, "  \"traced_events_per_sec\": %.1f,\n",
+                 traced.events_per_sec());
     std::fprintf(f, "  \"breakdown\": {\n");
     std::fprintf(f, "    \"engine_only_events_per_sec\": %.1f,\n",
                  engine_only);
     std::fprintf(f, "    \"plain_events_per_sec\": %.1f,\n",
-                 plain.events_per_sec());
+                 base.events_per_sec());
     std::fprintf(f, "    \"traced_events_per_sec\": %.1f,\n",
                  traced.events_per_sec());
     std::fprintf(f, "    \"faulted_events_per_sec\": %.1f,\n",

@@ -49,6 +49,7 @@
 #include <vector>
 
 #include "armbar/sim/engine.hpp"
+#include "armbar/sim/mem_stats.hpp"
 #include "armbar/sim/trace.hpp"
 #include "armbar/topo/machine.hpp"
 #include "armbar/util/bits.hpp"
@@ -62,20 +63,6 @@ namespace armbar::sim {
 
 using VarId = std::int32_t;
 using LineId = std::int32_t;
-
-/// Aggregate operation counters (whole memory system).
-struct MemStats {
-  std::uint64_t local_reads = 0;
-  std::uint64_t remote_reads = 0;
-  std::uint64_t local_writes = 0;   ///< writer already held the line
-  std::uint64_t remote_writes = 0;  ///< writer had to fetch the line
-  std::uint64_t rmws = 0;
-  std::uint64_t invalidations = 0;  ///< copies invalidated by writes/rmws
-  std::uint64_t poll_reads = 0;     ///< waiter re-reads triggered by writes
-  /// Remote transfers whose source/destination crossed each layer; indexed
-  /// by machine layer.
-  std::vector<std::uint64_t> layer_transfers;
-};
 
 /// Spin predicate: the small closed set of comparisons barrier algorithms
 /// poll with, kept as a tagged value so each poll evaluates as an inline
@@ -193,8 +180,10 @@ class MemSystem {
   SpinAllAwaiter spin_until_all(int core, std::span<const VarId> vars,
                                 SpinPred pred);
 
-  const MemStats& stats() const noexcept { return stats_; }
-  void reset_stats();
+  /// Operation counts of this memory system.  On the traced path the
+  /// operations are counted in the tracer's per-phase slots instead of
+  /// here; this sums in the ones made since the tracer was attached.
+  MemStats stats() const;
 
   /// Which specialized access-path instantiation operations dispatch to.
   /// Fixed by set_tracer / set_fault_plan — i.e. once per run at
@@ -211,12 +200,10 @@ class MemSystem {
 
   /// Attach an operation tracer (nullptr detaches).  Not owned; must
   /// outlive the simulation run.  Selects the Traced instantiations of
-  /// the access paths; with no tracer the hot path contains no tracer
-  /// code at all.
-  void set_tracer(Tracer* tracer) noexcept {
-    tracer_ = tracer;
-    update_mode();
-  }
+  /// the access paths, which count each operation in the tracer's slot
+  /// for the phase open on the issuing core; with no tracer the hot path
+  /// contains no tracer code at all.
+  void set_tracer(Tracer* tracer);
 
   /// The attached tracer, or nullptr.  Barrier programs use this to open
   /// phase spans (sim::PhaseScope) against the run's tracer.
@@ -389,6 +376,9 @@ class MemSystem {
   /// index of the access-path instantiation in use.
   std::uint8_t mode_ = 0;
   MemStats stats_;
+  /// The attached tracer's op_totals() when it was attached: stats()
+  /// adds what the traced path counted since.
+  MemStats traced_base_;
 };
 
 /// Spin awaitable: performs an initial costed poll; if the predicate fails

@@ -6,18 +6,24 @@
 // instants, core, cacheline, and the latency layer the transfer crossed.
 // Barrier programs additionally annotate *phase spans* — arrival /
 // notification, optionally per round or tree level — via the scoped
-// PhaseScope API, and every recorded operation is attributed to the
-// innermost span open on its core at record time.
+// PhaseScope API, and every operation is attributed to the innermost
+// span open on its core when it executes.
 //
 // Two products come out of a trace:
 //  * the bounded event/span log, exportable as CSV or Chrome trace-event /
 //    Perfetto JSON (armbar/obs/perfetto.hpp) — one timeline track per
 //    core, invaluable for understanding why a barrier schedule stalls;
 //  * per-phase counters (ops, layer-bucketed remote transfers, RFO
-//    invalidations, busy/span time) that are *never* capacity-bounded:
-//    the per-phase layer histograms always sum to the memory system's
-//    total transfer counts even when the event log overflows.  These feed
-//    armbar::obs::MetricsReport.  See docs/TRACING.md for the schema.
+//    invalidations, busy/span time) that are *never* capacity-bounded.
+//    The memory system's traced path counts each operation into the
+//    MemStats slot of the phase open on its core (PhaseOps) instead of
+//    its own totals, so the per-phase layer histograms sum to the run's
+//    transfer counts by construction, even when the event log overflows.
+//    These feed armbar::obs::MetricsReport.  See docs/TRACING.md.
+//
+// A counters-only tracer (capacity 0) adds to each operation only the
+// slot choice, its busy time and the core's last-op record: it never
+// touches the event log.
 
 #include <array>
 #include <cstdint>
@@ -26,6 +32,7 @@
 
 #include "armbar/obs/phase.hpp"
 #include "armbar/sim/engine.hpp"
+#include "armbar/sim/mem_stats.hpp"
 #include "armbar/util/vtime.hpp"
 
 namespace armbar::sim {
@@ -60,16 +67,18 @@ std::string to_string(TraceEvent::Kind kind);
 /// default; event/span recording silently stops when the capacity is
 /// reached (`dropped()` / `dropped_spans()` report how many did not fit),
 /// but the per-phase counters keep counting regardless.
+///
+/// A tracer may be attached to several memory systems in turn (never to
+/// two at once): its counters and log then cover every run it saw.
 class Tracer {
  public:
   explicit Tracer(std::size_t capacity = kDefaultCapacity);
 
+  /// Append one operation to the event log, attributed to the innermost
+  /// span open on its core; a no-op once the log is full.  The memory
+  /// system's traced path calls this (through observe()) for every
+  /// operation while the log has room.
   void record(TraceEvent ev);
-
-  /// Count @p n RFO invalidations against core's current phase (called by
-  /// the memory system once per write transaction; independent of event
-  /// capacity).
-  void add_rfo(int core, std::uint64_t n);
 
   // -- phase spans ----------------------------------------------------------
 
@@ -95,9 +104,9 @@ class Tracer {
   /// Round / tree level of the innermost open span on @p core (-1 if none).
   int current_round(int core) const noexcept;
 
-  /// Last recorded operation of a core — like the per-phase counters this
-  /// is never capacity-bounded, so it stays valid after the event log
-  /// overflows.  Feeds sim::CoreDiagnostic when a watchdog aborts a run.
+  /// Last operation of a core — like the per-phase counters this is never
+  /// capacity-bounded, so it stays valid after the event log overflows.
+  /// Feeds sim::CoreDiagnostic when a watchdog aborts a run.
   struct LastOp {
     std::int32_t line = -1;       ///< cacheline touched, -1 = none yet
     util::Picos finish_ps = 0;    ///< finish instant of that operation
@@ -106,12 +115,49 @@ class Tracer {
 
   const std::vector<TraceEvent>& events() const noexcept { return events_; }
   const std::vector<PhaseSpan>& spans() const noexcept { return spans_; }
-  std::size_t dropped() const noexcept { return dropped_; }
+  /// Operations that did not fit in the event log: every operation the
+  /// memory system counted, minus the events logged (events recorded by
+  /// hand, with no memory system behind them, never count as dropped).
+  std::size_t dropped() const noexcept;
   std::size_t dropped_spans() const noexcept { return dropped_spans_; }
   std::size_t capacity() const noexcept { return capacity_; }
+  /// Forget everything recorded (keeps the per-core and per-layer sizes).
+  /// Not while a memory system is mid-run on this tracer.
   void clear();
 
   // -- per-phase counters (never capacity-bounded) --------------------------
+
+  /// One phase's operation counts, written by the memory system's traced
+  /// access path: the same MemStats fields the plain path counts, plus
+  /// the summed operation durations.
+  struct PhaseOps {
+    MemStats stats;
+    util::Picos busy_ps = 0;
+  };
+
+  /// Size the per-core and per-layer state for a memory system of
+  /// @p num_cores cores and @p num_layers latency layers (grows only).
+  /// MemSystem::set_tracer calls this.
+  void attach(int num_cores, int num_layers);
+
+  /// The slot an operation by @p core counts into: the one of the phase
+  /// open on the core.  @p core must be below attach()'s core count.
+  PhaseOps& ops_of(int core) noexcept {
+    return ops_[static_cast<std::size_t>(
+        cores_[static_cast<std::size_t>(core)].phase)];
+  }
+
+  /// Account one costed operation of the traced path, already counted in
+  /// @p slot: its busy time, the core's last op, and the event log while
+  /// it has room.
+  void observe(PhaseOps& slot, const TraceEvent& ev) {
+    slot.busy_ps += ev.finish - ev.start;
+    cores_[static_cast<std::size_t>(ev.core)].last = LastOp{ev.line, ev.finish};
+    if (events_.size() < capacity_) record(ev);
+  }
+
+  /// Operation counts summed over all phases.
+  MemStats op_totals() const;
 
   struct PhaseCounters {
     std::uint64_t reads = 0;
@@ -134,8 +180,9 @@ class Tracer {
     /// what the autotuner's phase prune keys on.  Exact regardless of the
     /// span-log capacity.
     std::vector<util::Picos> episode_max_span_ps;
-    /// Remote transfers by machine latency layer; grown on demand.  Sums
-    /// (across phases) to MemStats::layer_transfers exactly.
+    /// Remote transfers by machine latency layer, one entry per layer of
+    /// the largest machine attached.  Sums (across phases) to
+    /// MemStats::layer_transfers exactly.
     std::vector<std::uint64_t> layer_transfers;
 
     std::uint64_t total_ops() const noexcept {
@@ -148,10 +195,10 @@ class Tracer {
     }
   };
 
-  /// Counters for one phase (indexed by obs::Phase).
-  const PhaseCounters& phase_counters(obs::Phase p) const noexcept {
-    return counters_[static_cast<std::size_t>(p)];
-  }
+  /// Counters for one phase, derived from its PhaseOps slot and the span
+  /// accounting: reads = local + remote reads - polls, local_ops = ops -
+  /// remote transfers, rfo_invalidations = invalidations.
+  PhaseCounters phase_counters(obs::Phase p) const;
 
   /// Per-core aggregate over the recorded events.
   struct CoreSummary {
@@ -167,11 +214,6 @@ class Tracer {
   /// CSV: start_ps,finish_ps,core,line,kind,layer,phase,round
   std::string to_csv() const;
 
-  /// Chrome trace-event JSON ("X" complete events; one row per core).
-  /// Timestamps are emitted in microseconds as the format requires.
-  /// armbar::obs::to_perfetto_json adds phase-span tracks and metadata.
-  std::string to_chrome_json() const;
-
   static constexpr std::size_t kDefaultCapacity = 1 << 20;
 
  private:
@@ -181,18 +223,35 @@ class Tracer {
     std::int16_t round;
   };
 
+  /// Outermost-span accounting of one phase.
+  struct SpanTotals {
+    util::Picos span_ps = 0;
+    std::vector<util::Picos> episode_max_span_ps;
+  };
+
+  /// Per-core state.  `phase` is the phase of the innermost open span
+  /// (the PhaseOps slot the core's operations count into); `episodes`
+  /// counts the closed outermost spans per phase (the episode index
+  /// feeding PhaseCounters::episode_max_span_ps); `last` is never
+  /// bounded.
+  struct CoreState {
+    std::vector<OpenSpan> open;  ///< open spans, outermost first
+    obs::Phase phase = obs::Phase::kNone;
+    std::array<std::uint32_t, obs::kNumPhases> episodes{};
+    LastOp last;
+  };
+
+  /// Grow the per-core state to cover @p cores cores.
+  void grow_cores(std::size_t cores) {
+    if (cores > cores_.size()) cores_.resize(cores);
+  }
+
   std::vector<TraceEvent> events_;
   std::vector<PhaseSpan> spans_;
-  /// Per-core stack of open spans (lazily grown to the largest core seen).
-  std::vector<std::vector<OpenSpan>> open_;
-  /// Per-core count of closed outermost spans per phase (the episode
-  /// index feeding PhaseCounters::episode_max_span_ps).
-  std::vector<std::array<std::uint32_t, obs::kNumPhases>> span_seq_;
-  /// Per-core last recorded operation (lazily grown, never bounded).
-  std::vector<LastOp> last_op_;
-  PhaseCounters counters_[obs::kNumPhases];
+  std::vector<CoreState> cores_;  ///< grown to the largest core seen
+  PhaseOps ops_[obs::kNumPhases];
+  SpanTotals span_totals_[obs::kNumPhases];
   std::size_t capacity_;
-  std::size_t dropped_ = 0;
   std::size_t dropped_spans_ = 0;
 };
 

@@ -60,16 +60,21 @@ struct HierSpec {
   }
 };
 
-/// Materialize the dense latency/layer tables for @p spec.  N_c is the
-/// cluster size (the natural grain for cluster-local amo-add arrival and
-/// the NUMA-aware wake-up tree).  Throws std::invalid_argument for
-/// non-physical specs (fields out of range, or more than kMaxHierCores
-/// cores — the dense core x core tables make larger counts an allocation
-/// bomb, not a bigger model).
+/// Build the machine described by @p spec (its core x core pair table
+/// and per-layer latencies).  N_c is the cluster size (the natural grain
+/// for cluster-local amo-add arrival and the NUMA-aware wake-up tree).
+/// Throws std::invalid_argument for non-physical specs (fields out of
+/// range, or more than kMaxHierCores cores — the pair table grows as the
+/// square of the core count, so larger counts are an allocation bomb, not
+/// a bigger model).
 Machine make_hier_machine(const HierSpec& spec = {});
 
 /// Core-count cap of make_hier_machine (matches the machine-file loader).
 inline constexpr int kMaxHierCores = 4096;
+
+/// Die-count cap of make_hier_machine: die distance d is layer 1 + d,
+/// and layer indices are stored in a signed byte.
+inline constexpr int kMaxHierDies = 127;
 
 /// The three stock synthetic machines wired through machine_by_name, the
 /// sweep service's machine registry, and bench/fig_hier:

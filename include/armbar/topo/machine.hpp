@@ -10,14 +10,16 @@
 // machine's cluster/panel/socket geometry.
 //
 // Latencies are stored both in ns (for reporting, as in the paper) and as
-// integer picoseconds (for the exact discrete-event simulator).  The
-// picosecond forms are precomputed once at construction into dense
-// core×core tables so the simulator's per-access lookups are single array
-// loads with no float conversion.
+// integer picoseconds (for the exact discrete-event simulator).  The paper
+// prices a core pair by its layer alone, so the pairwise data is one byte
+// per pair (layer + 1, 0 on the diagonal) plus two per-layer arrays of
+// precomputed picosecond costs: a simulator lookup is a byte load and a
+// load from a table of a few entries, with no float conversion.
 
 #include <cassert>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -95,27 +97,21 @@ class Machine {
   util::Picos contention_ps() const noexcept { return contention_ps_; }
 
   // -- unchecked hot-path accessors (simulator inner loop) ------------------
-  // Single array loads over tables built once at construction; core
-  // indices must already be validated (the simulator checks them at the
-  // operation boundary).
+  // A byte load from the shared pair table and a load from a per-layer
+  // array; core indices must already be validated (the simulator checks
+  // them at the operation boundary).
   //
-  // The comm table fuses latency and layer into one 64-bit entry
-  // (low 48 bits: picoseconds; high bits: layer index + 1, so the
-  // diagonal's "-1" encodes as 0): the simulator needs both on every
-  // remote transfer, and one fused load halves the random table traffic
-  // of the miss path.
+  // The comm entry fuses latency and layer into one 64-bit value (low 48
+  // bits: picoseconds; high bits: layer index + 1, so the diagonal's "-1"
+  // encodes as 0): the simulator needs both on every remote transfer.
 
   static constexpr unsigned kCommLayerShift = 48;
   static constexpr std::uint64_t kCommPsMask =
       (std::uint64_t{1} << kCommLayerShift) - 1;
 
-  /// Raw fused comm-table entry; decode with entry_ps()/entry_layer().
+  /// Fused comm entry of a core pair; decode with entry_ps()/entry_layer().
   std::uint64_t comm_entry_fast(int core_a, int core_b) const noexcept {
-    assert(core_a >= 0 && core_a < num_cores_ && core_b >= 0 &&
-           core_b < num_cores_);
-    return tables_->comm[static_cast<std::size_t>(core_a) *
-                             static_cast<std::size_t>(num_cores_) +
-                         static_cast<std::size_t>(core_b)];
+    return comm_of_code_[pair_code_fast(core_a, core_b)];
   }
 
   static util::Picos entry_ps(std::uint64_t entry) noexcept {
@@ -133,16 +129,19 @@ class Machine {
   /// α·comm_ps (the per-copy RFO invalidation cost), precomputed with the
   /// exact same rounding as static_cast<Picos>(alpha * comm_ps).
   util::Picos rfo_ps_fast(int core_a, int core_b) const noexcept {
-    assert(core_a >= 0 && core_a < num_cores_ && core_b >= 0 &&
-           core_b < num_cores_);
-    return tables_->rfo[static_cast<std::size_t>(core_a) *
-                            static_cast<std::size_t>(num_cores_) +
-                        static_cast<std::size_t>(core_b)];
+    return rfo_of_code_[pair_code_fast(core_a, core_b)];
   }
 
   /// layer() without range checks; -1 when a == b.
   int layer_fast(int core_a, int core_b) const noexcept {
-    return entry_layer(comm_entry_fast(core_a, core_b));
+    return static_cast<int>(pair_code_fast(core_a, core_b)) - 1;
+  }
+
+  /// The shared pair table, row-major [a * num_cores + b]: layer + 1 of
+  /// each core pair, 0 on the diagonal.  Copies of a Machine share it.
+  std::span<const std::uint8_t> pair_codes() const noexcept {
+    return {pair_code_, static_cast<std::size_t>(num_cores_) *
+                            static_cast<std::size_t>(num_cores_)};
   }
 
   /// Index of the logical cluster containing @p core.
@@ -168,23 +167,35 @@ class Machine {
   double mlp_delay_ns_;
   double net_contention_ns_;
   std::vector<Layer> layers_;
-  std::vector<std::int8_t> layer_of_pair_;  // row-major [a*num_cores + b]
 
   // Integer-picosecond caches, built once in the constructor.
   util::Picos epsilon_ps_ = 0;
   util::Picos contention_ps_ = 0;
   util::Picos mlp_delay_ps_ = 0;
   util::Picos net_contention_ps_ = 0;
-  std::vector<util::Picos> layer_ps_;  // per layer
 
-  /// Dense core×core tables (tens of KB on a 64-core machine).  Shared,
-  /// immutable: the simulator copies its Machine per run, and sharing
-  /// makes that copy O(1) instead of re-copying the tables every run.
-  struct Tables {
-    std::vector<std::uint64_t> comm;  ///< fused ps+layer (ε / -1 diagonal)
-    std::vector<util::Picos> rfo;     ///< α-weighted comm_ps
+  std::uint8_t pair_code_fast(int core_a, int core_b) const noexcept {
+    assert(core_a >= 0 && core_a < num_cores_ && core_b >= 0 &&
+           core_b < num_cores_);
+    return pair_code_[static_cast<std::size_t>(core_a) *
+                          static_cast<std::size_t>(num_cores_) +
+                      static_cast<std::size_t>(core_b)];
+  }
+
+  /// Pair table plus the per-code cost arrays (code = layer + 1, code 0 =
+  /// the local ε access).  Shared and immutable: the simulator copies its
+  /// Machine per run, and sharing makes that copy O(1) in the core count.
+  struct PairTable {
+    std::vector<std::uint8_t> code;        ///< num_cores² pair codes
+    std::vector<std::uint64_t> comm;       ///< per code: fused ps | code
+    std::vector<util::Picos> rfo;          ///< per code: α-weighted ps
   };
-  std::shared_ptr<const Tables> tables_;
+  std::shared_ptr<const PairTable> pairs_;
+  // Raw views into *pairs_ for the hot path (valid in every copy: the
+  // shared table outlives each Machine that points into it).
+  const std::uint8_t* pair_code_ = nullptr;
+  const std::uint64_t* comm_of_code_ = nullptr;
+  const util::Picos* rfo_of_code_ = nullptr;
 };
 
 }  // namespace armbar::topo

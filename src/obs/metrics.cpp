@@ -49,7 +49,7 @@ MetricsReport make_metrics(const topo::Machine& machine,
   report.phases.reserve(static_cast<std::size_t>(kNumPhases));
   for (int p = 0; p < kNumPhases; ++p) {
     const auto phase = static_cast<Phase>(p);
-    const sim::Tracer::PhaseCounters& c = tracer.phase_counters(phase);
+    const sim::Tracer::PhaseCounters c = tracer.phase_counters(phase);
     PhaseMetrics m;
     m.phase = phase;
     m.reads = c.reads;

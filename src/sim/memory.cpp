@@ -114,10 +114,27 @@ void MemSystem::set_fault_plan(const fault::Plan* plan) {
   update_mode();
 }
 
-void MemSystem::reset_stats() {
-  stats_ = MemStats{};
-  stats_.layer_transfers.assign(
-      static_cast<std::size_t>(machine_.num_layers()), 0);
+void MemSystem::set_tracer(Tracer* tracer) {
+  // Settle the detached tracer's share of this memory system's counts.
+  if (tracer_ != nullptr) {
+    MemStats traced = tracer_->op_totals();
+    stats_ += (traced -= traced_base_);
+  }
+  tracer_ = tracer;
+  if (tracer_ != nullptr) {
+    tracer_->attach(machine_.num_cores(), machine_.num_layers());
+    traced_base_ = tracer_->op_totals();
+  }
+  update_mode();
+}
+
+MemStats MemSystem::stats() const {
+  MemStats total = stats_;
+  if (tracer_ != nullptr) {
+    MemStats traced = tracer_->op_totals();
+    total += (traced -= traced_base_);
+  }
+  return total;
 }
 
 // ---------------------------------------------------------------------------
@@ -171,17 +188,24 @@ Picos MemSystem::read_at(int core, LineId line, Picos issue, bool is_poll) {
   // until the pulse ends.
   if constexpr (Faulted) issue = fault_->release(core, issue);
   const Picos start = std::max(issue, line_busy_[li]);
+  // The traced path counts into the slot of the phase open on this core.
+  Tracer::PhaseOps* slot = nullptr;
+  MemStats* stats = &stats_;
+  if constexpr (Traced) {
+    slot = &tracer_->ops_of(core);
+    stats = &slot->stats;
+  }
+  const auto kind =
+      is_poll ? TraceEvent::Kind::kPoll : TraceEvent::Kind::kRead;
 
-  if (is_poll) ++stats_.poll_reads;
+  if (is_poll) ++stats->poll_reads;
 
   ++line_read_count_[li];
   if (util::bit_test(sharer, static_cast<std::size_t>(core))) {
-    ++stats_.local_reads;
+    ++stats->local_reads;
     const Picos finish = start + machine_.epsilon_ps();
     if constexpr (Traced)
-      tracer_->record({start, finish, core, line,
-                       is_poll ? TraceEvent::Kind::kPoll
-                               : TraceEvent::Kind::kRead});
+      tracer_->observe(*slot, {start, finish, core, line, kind});
     return finish;
   }
 
@@ -195,7 +219,7 @@ Picos MemSystem::read_at(int core, LineId line, Picos issue, bool is_poll) {
     const std::uint64_t e = machine_.comm_entry_fast(core, src);
     cost = topo::Machine::entry_ps(e);
     layer = static_cast<std::int8_t>(topo::Machine::entry_layer(e));
-    ++stats_.layer_transfers[static_cast<std::size_t>(layer)];
+    ++stats->layer_transfers[static_cast<std::size_t>(layer)];
     if constexpr (Faulted) cost += fault_->link_extra(layer, cost, start);
   }
   // Reader contention (eq. 3's c term): pay c per other read of this line
@@ -223,12 +247,9 @@ Picos MemSystem::read_at(int core, LineId line, Picos issue, bool is_poll) {
   if (is_remote_transfer) net_inflight_.add(finish);
   util::bit_set(sharer, static_cast<std::size_t>(core));
   if (line_owner_[li] == -1) line_owner_[li] = core;
-  ++stats_.remote_reads;
+  ++stats->remote_reads;
   if constexpr (Traced)
-    tracer_->record({start, finish, core, line,
-                     is_poll ? TraceEvent::Kind::kPoll
-                             : TraceEvent::Kind::kRead,
-                     layer});
+    tracer_->observe(*slot, {start, finish, core, line, kind, layer});
   return finish;
 }
 
@@ -245,6 +266,12 @@ Picos MemSystem::write_at(int core, LineId line, Picos issue, bool is_rmw) {
   const Picos start = std::max(issue, line_busy_[li]);
   std::uint32_t straggle_milli = 1000;
   if constexpr (Faulted) straggle_milli = fault_->scale_milli(core, start);
+  Tracer::PhaseOps* slot = nullptr;
+  MemStats* stats = &stats_;
+  if constexpr (Traced) {
+    slot = &tracer_->ops_of(core);
+    stats = &slot->stats;
+  }
 
   ++line_write_count_[li];
   Picos base;
@@ -252,7 +279,7 @@ Picos MemSystem::write_at(int core, LineId line, Picos issue, bool is_rmw) {
   std::int8_t layer = -1;
   if (util::bit_test(sharer, static_cast<std::size_t>(core))) {
     base = machine_.epsilon_ps();
-    ++(is_rmw ? stats_.rmws : stats_.local_writes);
+    ++(is_rmw ? stats->rmws : stats->local_writes);
   } else {
     const int src = pick_source(sharer, line_owner_[li], core);
     if (src == -1) {
@@ -262,10 +289,10 @@ Picos MemSystem::write_at(int core, LineId line, Picos issue, bool is_rmw) {
       base = topo::Machine::entry_ps(e);
       fetched_remotely = true;
       layer = static_cast<std::int8_t>(topo::Machine::entry_layer(e));
-      ++stats_.layer_transfers[static_cast<std::size_t>(layer)];
+      ++stats->layer_transfers[static_cast<std::size_t>(layer)];
       if constexpr (Faulted) base += fault_->link_extra(layer, base, start);
     }
-    ++(is_rmw ? stats_.rmws : stats_.remote_writes);
+    ++(is_rmw ? stats->rmws : stats->remote_writes);
   }
 
   // RFO: invalidate every other copy, α·L each (Section III-B).  Parked
@@ -311,7 +338,7 @@ Picos MemSystem::write_at(int core, LineId line, Picos issue, bool is_rmw) {
   } else {
     holder.for_each_set(invalidate);
   }
-  stats_.invalidations += invalidated;
+  stats->invalidations += invalidated;
 
   // Poll pressure: an invalidating transaction on a line that many cores
   // are re-reading contends with those reads at the line's home — the
@@ -345,13 +372,11 @@ Picos MemSystem::write_at(int core, LineId line, Picos issue, bool is_rmw) {
   line_busy_[li] = is_rmw ? finish : start + base;
   util::bit_set(sharer, static_cast<std::size_t>(core));
   line_owner_[li] = core;
-  if constexpr (Traced) {
-    tracer_->record({start, finish, core, line,
-                     is_rmw ? TraceEvent::Kind::kRmw
-                            : TraceEvent::Kind::kWrite,
-                     layer});
-    if (invalidated > 0) tracer_->add_rfo(core, invalidated);
-  }
+  if constexpr (Traced)
+    tracer_->observe(*slot, {start, finish, core, line,
+                             is_rmw ? TraceEvent::Kind::kRmw
+                                    : TraceEvent::Kind::kWrite,
+                             layer});
   wake_waiters<Traced, Faulted>(line, finish);
   return finish;
 }

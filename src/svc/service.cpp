@@ -152,11 +152,11 @@ simbar::SimBarrierFactory make_factory(const JobSpec& spec,
                              {.cluster_size = machine.cluster_size()});
 }
 
-/// Machine pool: every named topology (and its fused latency/layer
-/// tables, the expensive part of engine setup) is constructed once per
-/// service and served by stable const reference for the rest of the
-/// process.  Workers keep a private pointer cache in front of this, so
-/// the mutex is touched once per (worker, machine), not once per job.
+/// Machine pool: every named topology (and its core-pair table) is
+/// constructed once per service and served by stable const reference for
+/// the rest of the process.  The mutex is taken once per computed cell,
+/// never on a cache hit; a cell's simulation costs thousands of times
+/// more than the uncontended lock.
 class MachineRegistry {
  public:
   const topo::Machine& get(const std::string& name) {
@@ -384,8 +384,6 @@ struct SweepService::Impl {
   }
 
   void worker_loop(Worker& self, Ring& ring, std::uint64_t my_epoch) {
-    // Worker-private pointer cache in front of the shared registry.
-    std::unordered_map<std::string, const topo::Machine*> local_machines;
     Request req;
     int idle = 0;
     for (;;) {
@@ -414,7 +412,7 @@ struct SweepService::Impl {
       }
       try {
         if (opts.chaos.before_job) opts.chaos.before_job(req.seq);
-        process(req, local_machines, self, my_epoch);
+        process(req, self, my_epoch);
       } catch (...) {
         // An escaped exception (in practice: a chaos-hook kill) ends this
         // worker.  Mark it dead — epoch-checked under pub_mu so a zombie
@@ -430,28 +428,13 @@ struct SweepService::Impl {
     }
   }
 
-  void process(const Request& req,
-               std::unordered_map<std::string, const topo::Machine*>&
-                   local_machines,
-               Worker& self, std::uint64_t my_epoch) {
+  void process(const Request& req, Worker& self, std::uint64_t my_epoch) {
     std::shared_ptr<const CachedResult> entry;
     try {
       const JobSpec spec = parse_job_line(req.line);
       const std::string key = cache_key(spec);
       if (opts.use_cache) entry = cache.find(key);
       if (!entry) {
-        // Warm the worker-local machine cache as a side effect so the
-        // shared registry mutex is off the steady-state path.
-        const auto it = local_machines.find(spec.machine);
-        if (it == local_machines.end()) {
-          // May throw for an unknown machine: compute_cell repeats the
-          // lookup under its own classification, so just probe.
-          try {
-            local_machines.emplace(spec.machine, &registry.get(spec.machine));
-          } catch (const std::exception&) {
-            // Leave resolution (and the error entry) to compute_cell.
-          }
-        }
         std::shared_ptr<CachedResult> computed;
         for (int attempt = 1;; ++attempt) {
           computed = compute_cell(spec, registry, opts.job_deadline_ms);

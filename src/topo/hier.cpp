@@ -1,5 +1,7 @@
 #include "armbar/topo/hier.hpp"
 
+#include <algorithm>
+#include <cstddef>
 #include <stdexcept>
 #include <string>
 
@@ -22,14 +24,19 @@ Machine make_hier_machine(const HierSpec& spec) {
               std::to_string(spec.clusters_per_die));
   require(spec.dies >= 1, "dies must be >= 1, got " +
                               std::to_string(spec.dies));
-  // Check as we multiply: the dense core x core tables scale as the
-  // square of this product, so an absurd geometry is an allocation bomb.
+  // Check as we multiply: the core x core pair table scales as the square
+  // of this product, so an absurd geometry is an allocation bomb.
   const long long cores = static_cast<long long>(spec.cores_per_cluster) *
                           spec.clusters_per_die * spec.dies;
   require(cores <= kMaxHierCores,
           "geometry describes " + std::to_string(cores) +
               " cores, above the cap of " + std::to_string(kMaxHierCores) +
               " (dense core x core latency tables)");
+  // One layer per die distance (layers 1..dies), and a layer index must
+  // fit the signed byte of Machine's layer matrix.
+  require(spec.dies <= kMaxHierDies,
+          "dies must be <= " + std::to_string(kMaxHierDies) + ", got " +
+              std::to_string(spec.dies));
   require(spec.cluster_ns > 0.0, "cluster_ns must be > 0");
   require(spec.cluster_ratio >= 1.0,
           "cluster_ratio must be >= 1 (crossing a cluster boundary cannot "
@@ -51,21 +58,26 @@ Machine make_hier_machine(const HierSpec& spec) {
     layers.push_back({"die distance " + std::to_string(d),
                       l1_ns * spec.die_ratio + (d - 1) * spec.die_step_ns});
 
+  // Row by row, in runs: a core on a die `hops` dies away is layer
+  // 1 + hops (so the own die is layer 1), except the own cluster, which is
+  // layer 0 (Machine ignores the diagonal entry).
   const int num_cores = static_cast<int>(cores);
-  const int cores_per_die = spec.cores_per_cluster * spec.clusters_per_die;
-  const int cores_per_cluster = spec.cores_per_cluster;
-  auto layer_fn = [cores_per_die, cores_per_cluster](int a, int b) {
-    const int da = a / cores_per_die, db = b / cores_per_die;
-    if (da != db) return 1 + (da < db ? db - da : da - db);  // L2..L(dies)
-    return (a / cores_per_cluster == b / cores_per_cluster) ? 0 : 1;
-  };
   const auto n = static_cast<std::size_t>(num_cores);
-  std::vector<std::int8_t> matrix(n * n, 0);
-  for (int a = 0; a < num_cores; ++a)
-    for (int b = 0; b < num_cores; ++b)
-      if (a != b)
-        matrix[static_cast<std::size_t>(a) * n + static_cast<std::size_t>(b)] =
-            static_cast<std::int8_t>(layer_fn(a, b));
+  const auto per_die = static_cast<std::size_t>(spec.cores_per_cluster) *
+                       static_cast<std::size_t>(spec.clusters_per_die);
+  const auto per_cluster = static_cast<std::size_t>(spec.cores_per_cluster);
+  std::vector<std::int8_t> matrix(n * n);
+  for (std::size_t a = 0; a < n; ++a) {
+    std::int8_t* const row = matrix.data() + a * n;
+    const std::size_t da = a / per_die;
+    for (std::size_t d = 0; d < n / per_die; ++d) {
+      const std::size_t hops = d > da ? d - da : da - d;
+      std::fill_n(row + d * per_die, per_die,
+                  static_cast<std::int8_t>(1 + hops));
+    }
+    std::fill_n(row + a / per_cluster * per_cluster, per_cluster,
+                std::int8_t{0});
+  }
 
   std::string name = spec.name.empty()
                          ? "hier" + std::to_string(num_cores)

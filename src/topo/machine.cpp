@@ -1,6 +1,8 @@
 #include "armbar/topo/machine.hpp"
 
+#include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace armbar::topo {
 
@@ -18,8 +20,7 @@ Machine::Machine(std::string name, int num_cores, double epsilon_ns,
       contention_ns_(contention_ns),
       mlp_delay_ns_(mlp_delay_ns),
       net_contention_ns_(net_contention_ns),
-      layers_(std::move(layers)),
-      layer_of_pair_(std::move(layer_of_pair)) {
+      layers_(std::move(layers)) {
   if (num_cores_ <= 0) throw std::invalid_argument("Machine: num_cores must be > 0");
   if (cluster_size_ <= 0 || cluster_size_ > num_cores_)
     throw std::invalid_argument("Machine: cluster_size out of range");
@@ -34,62 +35,68 @@ Machine::Machine(std::string name, int num_cores, double epsilon_ns,
     throw std::invalid_argument("Machine: net_contention must be >= 0");
   if (layers_.empty()) throw std::invalid_argument("Machine: needs >= 1 layer");
   const auto n = static_cast<std::size_t>(num_cores_);
-  if (layer_of_pair_.size() != n * n)
+  if (layer_of_pair.size() != n * n)
     throw std::invalid_argument("Machine: layer matrix shape mismatch");
-  for (int a = 0; a < num_cores_; ++a) {
-    for (int b = 0; b < num_cores_; ++b) {
-      if (a == b) continue;
-      const int l = layer_of_pair_[static_cast<std::size_t>(a) * n +
-                                   static_cast<std::size_t>(b)];
-      if (l < 0 || l >= num_layers())
+
+  // Pair codes (layer + 1; the diagonal stays 0), range-checked in one
+  // sequential pass, then checked for symmetry tile by tile so the
+  // transposed reads stay in cache on many-core machines.
+  auto pairs = std::make_shared<PairTable>();
+  pairs->code.resize(n * n);
+  std::uint8_t* const code = pairs->code.data();
+  for (std::size_t a = 0; a < n; ++a) {
+    for (std::size_t b = 0; b < n; ++b) {
+      const int l = layer_of_pair[a * n + b];
+      if (a != b && (l < 0 || l >= num_layers()))
         throw std::invalid_argument("Machine: layer index out of range");
-      const int back = layer_of_pair_[static_cast<std::size_t>(b) * n +
-                                      static_cast<std::size_t>(a)];
-      if (back != l)
-        throw std::invalid_argument("Machine: layer matrix must be symmetric");
+      code[a * n + b] = a == b ? 0 : static_cast<std::uint8_t>(l + 1);
+    }
+  }
+  constexpr std::size_t kTile = 64;
+  for (std::size_t ta = 0; ta < n; ta += kTile) {
+    for (std::size_t tb = ta; tb < n; tb += kTile) {
+      for (std::size_t a = ta; a < std::min(ta + kTile, n); ++a) {
+        for (std::size_t b = std::max(tb, a + 1); b < std::min(tb + kTile, n);
+             ++b) {
+          if (code[a * n + b] != code[b * n + a])
+            throw std::invalid_argument(
+                "Machine: layer matrix must be symmetric");
+        }
+      }
     }
   }
   for (const Layer& l : layers_) {
     if (l.ns <= 0.0) throw std::invalid_argument("Machine: layer latency must be > 0");
   }
 
-  // Precompute the integer-picosecond forms the simulator's hot path
-  // loads on every access.  The rfo table uses the exact expression the
-  // simulator previously evaluated inline (static_cast<Picos>(alpha *
-  // double(comm_ps))) so optimized runs stay bit-for-bit identical.
+  // Per-code costs the simulator's hot path loads on every access.  The
+  // rfo entries use the exact expression the simulator once evaluated
+  // inline (static_cast<Picos>(alpha * double(comm_ps))), so optimized
+  // runs stay bit-for-bit identical.
   epsilon_ps_ = util::ns_to_ps(epsilon_ns_);
   contention_ps_ = util::ns_to_ps(contention_ns_);
   mlp_delay_ps_ = util::ns_to_ps(mlp_delay_ns_);
   net_contention_ps_ = util::ns_to_ps(net_contention_ns_);
-  layer_ps_.reserve(layers_.size());
-  for (const Layer& l : layers_) layer_ps_.push_back(util::ns_to_ps(l.ns));
-  auto tables = std::make_shared<Tables>();
-  tables->comm.resize(n * n);
-  tables->rfo.resize(n * n);
-  for (int a = 0; a < num_cores_; ++a) {
-    for (int b = 0; b < num_cores_; ++b) {
-      const std::size_t at =
-          static_cast<std::size_t>(a) * n + static_cast<std::size_t>(b);
-      const int layer = a == b ? -1 : layer_of_pair_[at];
-      const util::Picos ps =
-          layer < 0 ? epsilon_ps_ : layer_ps_[static_cast<std::size_t>(layer)];
-      assert(ps <= kCommPsMask);
-      tables->comm[at] =
-          ps | (static_cast<std::uint64_t>(layer + 1) << kCommLayerShift);
-      tables->rfo[at] =
-          static_cast<util::Picos>(alpha_ * static_cast<double>(ps));
-    }
+  const std::size_t codes = layers_.size() + 1;
+  pairs->comm.resize(codes);
+  pairs->rfo.resize(codes);
+  for (std::size_t c = 0; c < codes; ++c) {
+    const util::Picos ps =
+        c == 0 ? epsilon_ps_ : util::ns_to_ps(layers_[c - 1].ns);
+    assert(ps <= kCommPsMask);
+    pairs->comm[c] = ps | (static_cast<std::uint64_t>(c) << kCommLayerShift);
+    pairs->rfo[c] = static_cast<util::Picos>(alpha_ * static_cast<double>(ps));
   }
-  tables_ = std::move(tables);
+  pair_code_ = pairs->code.data();
+  comm_of_code_ = pairs->comm.data();
+  rfo_of_code_ = pairs->rfo.data();
+  pairs_ = std::move(pairs);
 }
 
 int Machine::layer(int core_a, int core_b) const {
   if (core_a < 0 || core_a >= num_cores_ || core_b < 0 || core_b >= num_cores_)
     throw std::out_of_range("Machine::layer: core index out of range");
-  if (core_a == core_b) return -1;
-  const auto n = static_cast<std::size_t>(num_cores_);
-  return layer_of_pair_[static_cast<std::size_t>(core_a) * n +
-                        static_cast<std::size_t>(core_b)];
+  return layer_fast(core_a, core_b);
 }
 
 double Machine::comm_ns(int core_a, int core_b) const {
@@ -106,7 +113,7 @@ util::Picos Machine::comm_ps(int core_a, int core_b) const {
 util::Picos Machine::layer_ps(int i) const {
   if (i < 0 || i >= num_layers())
     throw std::out_of_range("Machine::layer_ps: layer index out of range");
-  return layer_ps_[static_cast<std::size_t>(i)];
+  return entry_ps(comm_of_code_[static_cast<std::size_t>(i) + 1]);
 }
 
 double Machine::mean_remote_ns() const {

@@ -396,6 +396,68 @@ TEST(Watchdog, DeadlockCarriesPerCoreDiagnostics) {
   }
 }
 
+/// "core phase round last_line last_op_ps" per diagnosed core.
+std::vector<std::string> diagnostics_of(const sim::DeadlockError& e) {
+  std::vector<std::string> out;
+  for (const sim::CoreDiagnostic& d : e.cores())
+    out.push_back(std::to_string(d.core) + " " + obs::to_string(d.phase) +
+                  " " + std::to_string(d.round) + " " +
+                  std::to_string(d.last_line) + " " +
+                  std::to_string(d.last_op_ps) +
+                  (d.finished ? " finished" : ""));
+  return out;
+}
+
+// The per-core snapshot is read from the tracer's phase stacks and from
+// the last operation the traced path recorded for each core; pinned here
+// for a true deadlock and for a simulated-time budget that aborts a
+// healthy barrier mid-episode.
+TEST(Watchdog, TracedDiagnosticsArePinned) {
+  const auto machine = topo::kunpeng920();
+  {
+    sim::Tracer tracer(0);
+    try {
+      simbar::measure_barrier(machine, stuck_factory(), small_cfg(4),
+                              &tracer);
+      FAIL() << "expected sim::DeadlockError";
+    } catch (const sim::DeadlockError& e) {
+      EXPECT_EQ(e.kind(), sim::DeadlockError::Kind::kDeadlock);
+      // Core 0 read the flag and finished; the others parked on its line
+      // (line 0) inside arrival round 3 after their first poll.
+      EXPECT_EQ(diagnostics_of(e),
+                (std::vector<std::string>{"0 none -1 0 1150 finished",
+                                          "1 arrival 3 0 14600",
+                                          "2 arrival 3 0 16200",
+                                          "3 arrival 3 0 17800"}));
+    }
+  }
+  {
+    sim::Tracer tracer(0);
+    simbar::SimRunConfig cfg = small_cfg(8);
+    cfg.time_budget_ps = util::ns_to_ps(400.0);
+    try {
+      simbar::measure_barrier(machine,
+                              simbar::sim_factory(Algo::kStaticFwayPadded,
+                                                  {.cluster_size = 4}),
+                              cfg, &tracer);
+      FAIL() << "expected sim::DeadlockError";
+    } catch (const sim::DeadlockError& e) {
+      EXPECT_EQ(e.kind(), sim::DeadlockError::Kind::kTimeBudget);
+      // The root (core 0) is still gathering arrivals; everyone else has
+      // signalled and waits for the release.
+      EXPECT_EQ(diagnostics_of(e),
+                (std::vector<std::string>{"0 arrival 0 7 417078",
+                                          "1 notification -1 8 307144",
+                                          "2 notification -1 8 308744",
+                                          "3 notification -1 8 310344",
+                                          "4 notification -1 8 341944",
+                                          "5 notification -1 8 343544",
+                                          "6 notification -1 8 345144",
+                                          "7 notification -1 8 346744"}));
+    }
+  }
+}
+
 TEST(Watchdog, DeadlockWithoutTracerStillStructured) {
   const auto machine = topo::kunpeng920();
   try {

@@ -120,6 +120,25 @@ TEST(HierGeometry, RejectsNonPhysicalSpecs) {
   HierSpec bad_die;
   bad_die.die_ratio = 0.0;
   EXPECT_THROW(topo::make_hier_machine(bad_die), std::invalid_argument);
+
+  // 130 dies fit the core cap but not the byte-coded layer index: the
+  // error names the die count, not an internal layer matrix.
+  HierSpec many_dies;
+  many_dies.cores_per_cluster = 2;
+  many_dies.clusters_per_die = 2;
+  many_dies.dies = 130;
+  try {
+    topo::make_hier_machine(many_dies);
+    ADD_FAILURE() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("dies must be <= 127"),
+              std::string::npos)
+        << e.what();
+  }
+  many_dies.dies = 127;  // the largest: die distance 126 is layer 127
+  const Machine widest = topo::make_hier_machine(many_dies);
+  EXPECT_EQ(widest.num_layers(), 128);
+  EXPECT_EQ(widest.layer(0, widest.num_cores() - 1), 127);
 }
 
 TEST(HierGeometry, WiredThroughMachineByName) {

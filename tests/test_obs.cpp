@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "../src/obs/json_util.hpp"
+#include "armbar/fault/plan.hpp"
 #include "armbar/obs/metrics.hpp"
 #include "armbar/obs/native_phase.hpp"
 #include "armbar/obs/perfetto.hpp"
@@ -23,6 +24,7 @@
 #include "armbar/simbar/runner.hpp"
 #include "armbar/simbar/sim_barriers.hpp"
 #include "armbar/svc/job.hpp"
+#include "armbar/topo/hier.hpp"
 #include "armbar/topo/platforms.hpp"
 #include "hostile_locale.hpp"
 
@@ -153,6 +155,76 @@ TEST(Metrics, CriticalSpanIsPositiveAndBelowTotalSpan) {
     const PhaseMetrics& m = r.phases[static_cast<std::size_t>(p)];
     EXPECT_GT(m.critical_span_ns, 0.0) << to_string(p);
     EXPECT_LT(m.critical_span_ns, m.span_ns) << to_string(p);
+  }
+}
+
+// The per-phase counts come from the memory system's traced path, not
+// from the event log: a counters-only tracer (capacity 0) and a logging
+// one must produce the same report, apart from how the operations (and
+// phase spans) split between logged and dropped.
+TEST(Metrics, CountersOnlyTracerMatchesLoggingTracer) {
+  std::vector<topo::Machine> machines = topo::armv8_machines();
+  machines.push_back(topo::hier256());
+  fault::FaultSpec spec;
+  spec.noise.period_us = 2.0;
+  spec.noise.duration_us = 0.3;
+  spec.straggler.fraction = 0.25;
+  spec.straggler.slowdown = 1.5;
+  spec.link.factor = 2.0;
+  for (const topo::Machine& machine : machines) {
+    const fault::Plan plan(spec, machine.num_cores(), machine.num_layers());
+    for (const bool faulted : {false, true}) {
+      for (const Algo algo : all_algos()) {
+        if (algo == Algo::kStdBarrier || algo == Algo::kPthread)
+          continue;  // library baselines: no simulated form
+        simbar::SimRunConfig cfg;
+        cfg.threads = machine.num_cores() > 64 ? 96 : 24;
+        cfg.iterations = 4;
+        cfg.warmup = 1;
+        if (faulted) cfg.fault = &plan;
+        const auto factory = simbar::sim_factory(
+            algo, {.cluster_size = machine.cluster_size()});
+        sim::Tracer counters(0);
+        sim::Tracer logging;
+        const MetricsReport a = make_metrics(
+            machine, cfg,
+            simbar::measure_barrier(machine, factory, cfg, &counters),
+            counters);
+        const MetricsReport b = make_metrics(
+            machine, cfg,
+            simbar::measure_barrier(machine, factory, cfg, &logging),
+            logging);
+        const std::string what = machine.name() + " " + a.barrier_name +
+                                 (faulted ? " faulted" : " plain");
+
+        // Every operation is dropped by the counters-only tracer and
+        // logged by the default-capacity one.
+        std::uint64_t ops = 0;
+        for (const PhaseMetrics& m : a.phases)
+          ops += m.reads + m.writes + m.rmws + m.polls;
+        EXPECT_GT(ops, 0u) << what;
+        EXPECT_EQ(a.trace_events, 0u) << what;
+        EXPECT_EQ(a.dropped_events, ops) << what;
+        EXPECT_EQ(b.trace_events, ops) << what;
+        EXPECT_EQ(b.dropped_events, 0u) << what;
+        EXPECT_EQ(ops, a.totals.local_reads + a.totals.remote_reads +
+                           a.totals.local_writes + a.totals.remote_writes +
+                           a.totals.rmws)
+            << what;
+
+        // Spans split the same way (capacity 0 keeps none of them).
+        EXPECT_EQ(a.trace_spans, 0u) << what;
+        EXPECT_EQ(a.dropped_spans, b.trace_spans + b.dropped_spans) << what;
+
+        // Everything else is byte-identical.
+        MetricsReport a_same = a;
+        a_same.trace_events = b.trace_events;
+        a_same.dropped_events = b.dropped_events;
+        a_same.trace_spans = b.trace_spans;
+        a_same.dropped_spans = b.dropped_spans;
+        EXPECT_EQ(to_json(a_same), to_json(b)) << what;
+      }
+    }
   }
 }
 

@@ -3,7 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
+#include <functional>
+#include <string>
+#include <vector>
+
+#include "armbar/topo/hier.hpp"
 #include "armbar/topo/machine.hpp"
+#include "armbar/topo/machine_file.hpp"
 #include "armbar/topo/platforms.hpp"
 
 namespace armbar::topo {
@@ -196,6 +204,113 @@ TEST(MachineValidation, RejectsAsymmetricMatrix) {
   std::vector<std::int8_t> mat = {0, 0, 1, 0};
   EXPECT_THROW(Machine("bad", 2, 1.0, 2, 64, 0.5, 1.0, layers, mat),
                std::invalid_argument);
+}
+
+// --- Pair table -------------------------------------------------------------
+
+/// Mismatches between the simulator's pair accessors and the formulas
+/// they replace, for every ordered core pair: the layer from the
+/// machine's geometry, the comm entry fusing ε or the layer's
+/// picoseconds with layer + 1, and the RFO cost
+/// static_cast<Picos>(alpha * double(ps)).
+std::uint64_t pair_mismatches(const Machine& m,
+                              const std::function<int(int, int)>& layer_of) {
+  const util::Picos eps = util::ns_to_ps(m.epsilon_ns());
+  std::vector<util::Picos> layer_ps;
+  for (int l = 0; l < m.num_layers(); ++l)
+    layer_ps.push_back(util::ns_to_ps(m.layer_info(l).ns));
+  std::uint64_t bad = 0;
+  for (int a = 0; a < m.num_cores(); ++a) {
+    for (int b = 0; b < m.num_cores(); ++b) {
+      const int layer = a == b ? -1 : layer_of(a, b);
+      const util::Picos ps =
+          layer < 0 ? eps : layer_ps[static_cast<std::size_t>(layer)];
+      const std::uint64_t entry =
+          ps | (static_cast<std::uint64_t>(layer + 1)
+                << Machine::kCommLayerShift);
+      const auto rfo =
+          static_cast<util::Picos>(m.alpha() * static_cast<double>(ps));
+      if (m.layer(a, b) != layer || m.layer_fast(a, b) != layer ||
+          m.comm_entry_fast(a, b) != entry || m.comm_ps(a, b) != ps ||
+          m.rfo_ps_fast(a, b) != rfo)
+        ++bad;
+    }
+  }
+  return bad;
+}
+
+/// Layer of a hierarchical geometry: innermost level whose group holds
+/// both cores (the last level otherwise).
+std::function<int(int, int)> nested_groups(std::vector<int> groups) {
+  return [groups](int a, int b) {
+    int span = 1;
+    for (std::size_t lvl = 0; lvl < groups.size(); ++lvl) {
+      span *= groups[lvl];
+      if (a / span == b / span) return static_cast<int>(lvl);
+    }
+    return static_cast<int>(groups.size()) - 1;
+  };
+}
+
+/// Layer of a hier machine: own cluster 0, own die 1, else 1 + die hops.
+std::function<int(int, int)> hier_layers(int per_cluster, int per_die) {
+  return [=](int a, int b) {
+    const int da = a / per_die, db = b / per_die;
+    if (da != db) return 1 + std::abs(da - db);
+    return a / per_cluster == b / per_cluster ? 0 : 1;
+  };
+}
+
+TEST(PairTable, MatchesTheLayerFormulasOnEveryPair) {
+  EXPECT_EQ(pair_mismatches(phytium2000(),
+                            [](int a, int b) {
+                              const int pa = a / 8, pb = b / 8;
+                              if (pa != pb) return 1 + std::abs(pa - pb);
+                              return a / 4 == b / 4 ? 0 : 1;
+                            }),
+            0u);
+  EXPECT_EQ(pair_mismatches(thunderx2(), nested_groups({32, 2})), 0u);
+  EXPECT_EQ(pair_mismatches(kunpeng920(), nested_groups({4, 8, 2})), 0u);
+  EXPECT_EQ(pair_mismatches(xeon_gold(), [](int, int) { return 0; }), 0u);
+  EXPECT_EQ(pair_mismatches(machine_by_name("hier256"), hier_layers(8, 64)),
+            0u);
+  EXPECT_EQ(pair_mismatches(machine_by_name("hier1024"), hier_layers(8, 128)),
+            0u);
+  EXPECT_EQ(pair_mismatches(machine_by_name("hier4096"), hier_layers(16, 256)),
+            0u);
+  // A --hier-geometry machine (4 cores x 3 clusters x 5 dies, custom
+  // ratios) and a machine file.
+  HierSpec spec;
+  spec.cores_per_cluster = 4;
+  spec.clusters_per_die = 3;
+  spec.dies = 5;
+  spec.cluster_ratio = 2.5;
+  spec.die_ratio = 1.75;
+  EXPECT_EQ(pair_mismatches(make_hier_machine(spec), hier_layers(4, 12)), 0u);
+  EXPECT_EQ(pair_mismatches(parse_machine("groups = 2, 3, 4\n"
+                                          "layer_ns = 7.5, 31.0, 90.0\n"
+                                          "alpha = 0.37\n"),
+                            nested_groups({2, 3, 4})),
+            0u);
+}
+
+TEST(PairTable, OneSharedBytePerCorePair) {
+  const Machine m = machine_by_name("hier1024");
+  const auto codes = m.pair_codes();
+  EXPECT_EQ(codes.size_bytes(), std::size_t{1024} * 1024);  // 1 MB
+  EXPECT_EQ(codes[0], 0);         // diagonal
+  EXPECT_EQ(codes[1], 1);         // same cluster: layer 0
+  EXPECT_EQ(codes[1023], 1 + 8);  // die distance 7: layer 8
+  // Copies share the table instead of duplicating it, and the hot-path
+  // views stay valid through copies and assignment.
+  const Machine copy = m;
+  EXPECT_EQ(copy.pair_codes().data(), codes.data());
+  Machine other = m;
+  EXPECT_EQ(other.pair_codes().data(), codes.data());
+  other = kunpeng920();
+  EXPECT_EQ(other.pair_codes().size(), std::size_t{64} * 64);
+  EXPECT_EQ(other.comm_ps(0, 63), other.layer_ps(2));
+  EXPECT_EQ(copy.comm_ps(0, 1023), copy.layer_ps(8));
 }
 
 }  // namespace

@@ -70,14 +70,28 @@ TEST(Trace, PollsAreTaggedAsPolls) {
 }
 
 TEST(Trace, CapacityBoundsAndDropCounting) {
+  // Dropped events are the memory system's operations the log had no
+  // room for: three costed operations, room for two.
   Tracer tracer(/*capacity=*/2);
-  tracer.record({0, 1, 0, 0, TraceEvent::Kind::kRead});
-  tracer.record({1, 2, 0, 0, TraceEvent::Kind::kRead});
-  tracer.record({2, 3, 0, 0, TraceEvent::Kind::kRead});
+  {
+    Engine eng;
+    MemSystem mem(eng, toy());
+    mem.set_tracer(&tracer);
+    const VarId v = mem.new_var(0);
+    eng.spawn(traffic(eng, mem, v));
+    ASSERT_TRUE(eng.run());
+  }
   EXPECT_EQ(tracer.events().size(), 2u);
   EXPECT_EQ(tracer.dropped(), 1u);
   tracer.clear();
   EXPECT_TRUE(tracer.events().empty());
+  EXPECT_EQ(tracer.dropped(), 0u);
+  // Events recorded by hand have no operation count behind them: they
+  // are logged while there is room, and never count as dropped.
+  tracer.record({0, 1, 0, 0, TraceEvent::Kind::kRead});
+  tracer.record({1, 2, 0, 0, TraceEvent::Kind::kRead});
+  tracer.record({2, 3, 0, 0, TraceEvent::Kind::kRead});
+  EXPECT_EQ(tracer.events().size(), 2u);
   EXPECT_EQ(tracer.dropped(), 0u);
 }
 
@@ -97,17 +111,12 @@ TEST(Trace, SummaryAggregatesPerCore) {
   EXPECT_EQ(summary[1].busy_ps, 45u);
 }
 
-TEST(Trace, CsvAndChromeExports) {
+TEST(Trace, CsvExport) {
   Tracer tracer;
   tracer.record({1000, 2000, 3, 7, TraceEvent::Kind::kWrite});
   const std::string csv = tracer.to_csv();
   EXPECT_NE(csv.find("start_ps,finish_ps,core,line,kind"), std::string::npos);
   EXPECT_NE(csv.find("1000,2000,3,7,write"), std::string::npos);
-  const std::string json = tracer.to_chrome_json();
-  EXPECT_EQ(json.front(), '[');
-  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(json.find("\"tid\":3"), std::string::npos);
-  EXPECT_NE(json.find("write L7"), std::string::npos);
 }
 
 TEST(Trace, AttachesThroughMeasureBarrier) {
@@ -138,15 +147,27 @@ TEST(Trace, KindNames) {
 
 TEST(Trace, CapacityZeroDropsEverythingButKeepsCounters) {
   Tracer tracer(/*capacity=*/0);
-  tracer.record({0, 5, 0, 0, TraceEvent::Kind::kRead});
-  tracer.record({5, 9, 0, 0, TraceEvent::Kind::kWrite});
+  Tracer logged;
+  for (Tracer* t : {&tracer, &logged}) {
+    Engine eng;
+    MemSystem mem(eng, toy());
+    mem.set_tracer(t);
+    const VarId v = mem.new_var(0);
+    eng.spawn(traffic(eng, mem, v));
+    ASSERT_TRUE(eng.run());
+  }
   EXPECT_TRUE(tracer.events().empty());
-  EXPECT_EQ(tracer.dropped(), 2u);
-  // Counters are capacity-independent: both events still counted.
-  const auto& c = tracer.phase_counters(obs::Phase::kNone);
+  EXPECT_EQ(tracer.dropped(), 3u);
+  // Counters are capacity-independent: all three operations still
+  // counted, with the busy time the logging tracer's events add up to.
+  const auto c = tracer.phase_counters(obs::Phase::kNone);
   EXPECT_EQ(c.reads, 1u);
   EXPECT_EQ(c.writes, 1u);
-  EXPECT_EQ(c.busy_ps, 9u);
+  EXPECT_EQ(c.rmws, 1u);
+  util::Picos busy = 0;
+  for (const TraceEvent& ev : logged.events()) busy += ev.finish - ev.start;
+  ASSERT_EQ(logged.events().size(), 3u);
+  EXPECT_EQ(c.busy_ps, busy);
   // Spans are capped too.
   tracer.begin_phase(0, obs::Phase::kArrival, -1, 0);
   tracer.end_phase(0, 10);
@@ -169,25 +190,50 @@ TEST(Trace, SummarizeIgnoresOutOfRangeCores) {
 }
 
 TEST(Trace, PhaseAttributionFollowsOpenSpan) {
+  // Core 0 reads before any span, writes inside an arrival span, then
+  // parks inside a notification span until core 1 writes the line; core
+  // 1's read and write sit outside every span.
+  Engine eng;
+  MemSystem mem(eng, toy());
   Tracer tracer;
-  tracer.record({0, 1, 0, 0, TraceEvent::Kind::kRead});  // before any span
-  tracer.begin_phase(0, obs::Phase::kArrival, -1, 0);
-  tracer.record({1, 2, 0, 0, TraceEvent::Kind::kWrite});
-  tracer.end_phase(0, 10);
-  tracer.begin_phase(0, obs::Phase::kNotification, -1, 10);
-  tracer.record({11, 12, 0, 0, TraceEvent::Kind::kPoll});
-  // A different core's event is not captured by core 0's span.
-  tracer.record({11, 12, 1, 0, TraceEvent::Kind::kRead});
-  tracer.end_phase(0, 20);
+  mem.set_tracer(&tracer);
+  const VarId v = mem.new_var(0);
+  const VarId go = mem.new_var(0);
+  auto core0 = [](Engine& e, MemSystem& m, Tracer& t, VarId var,
+                  VarId flag) -> SimThread {
+    co_await m.read(0, var);
+    {
+      PhaseScope arrive(&t, e, 0, obs::Phase::kArrival);
+      co_await m.write(0, var, 1);
+    }
+    PhaseScope notify(&t, e, 0, obs::Phase::kNotification);
+    co_await m.spin_until(0, flag, SpinPred::eq(1));
+  };
+  auto core1 = [](Engine& e, MemSystem& m, VarId var,
+                  VarId flag) -> SimThread {
+    co_await delay(e, 100000);
+    co_await m.read(1, var);
+    co_await m.write(1, flag, 1);
+  };
+  eng.spawn(core0(eng, mem, tracer, v, go));
+  eng.spawn(core1(eng, mem, v, go));
+  ASSERT_TRUE(eng.run());
 
-  ASSERT_EQ(tracer.events().size(), 4u);
-  EXPECT_EQ(tracer.events()[0].phase, obs::Phase::kNone);
-  EXPECT_EQ(tracer.events()[1].phase, obs::Phase::kArrival);
-  EXPECT_EQ(tracer.events()[2].phase, obs::Phase::kNotification);
+  ASSERT_EQ(tracer.events().size(), 6u);
+  EXPECT_EQ(tracer.events()[0].phase, obs::Phase::kNone);          // read
+  EXPECT_EQ(tracer.events()[1].phase, obs::Phase::kArrival);       // write
+  EXPECT_EQ(tracer.events()[2].phase, obs::Phase::kNotification);  // spin
+  // A different core's operations are not captured by core 0's span.
   EXPECT_EQ(tracer.events()[3].phase, obs::Phase::kNone);
+  EXPECT_EQ(tracer.events()[4].phase, obs::Phase::kNone);
+  // The wake re-poll of the parked core 0 lands in its notification span.
+  EXPECT_EQ(tracer.events()[5].kind, TraceEvent::Kind::kPoll);
+  EXPECT_EQ(tracer.events()[5].phase, obs::Phase::kNotification);
   EXPECT_EQ(tracer.phase_counters(obs::Phase::kArrival).writes, 1u);
+  EXPECT_EQ(tracer.phase_counters(obs::Phase::kNotification).reads, 1u);
   EXPECT_EQ(tracer.phase_counters(obs::Phase::kNotification).polls, 1u);
   EXPECT_EQ(tracer.phase_counters(obs::Phase::kNone).reads, 2u);
+  EXPECT_EQ(tracer.phase_counters(obs::Phase::kNone).writes, 1u);
 }
 
 TEST(Trace, NestedSpansCountOutermostTimeOnce) {
