@@ -12,7 +12,10 @@
 //
 // Flags:
 //   --jobs N       job lines per pass (default 200)
-//   --distinct D   distinct cells the stream cycles through (default 50)
+//   --distinct D   distinct cells the stream cycles through, at most the
+//                  generator's 72-cell period (default 72; min(N, 50) with
+//                  --emit-jobs).  BENCH_service.json records the distinct
+//                  cells the stream really holds, min(D, jobs).
 //   --workers N    service/driver worker threads (default 0 = hardware)
 //   --reps R       timed repetitions, best-of reported (default 3)
 //   --json PATH    output path (default BENCH_service.json).  An existing
@@ -26,6 +29,7 @@
 #include <cstdio>
 #include <ctime>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -64,13 +68,31 @@ std::vector<std::string> read_history(const std::string& path) {
   return entries;
 }
 
-/// Deterministic repeated-cell workload: @p distinct cells drawn from a
-/// (machine x algorithm x threads) grid, cycled until @p jobs lines.
+/// The (machine x algorithm x threads) grid the workload draws cells from.
+constexpr const char* kMachines[] = {"kunpeng920", "thunderx2",
+                                     "phytium2000+"};
+constexpr const char* kAlgos[] = {"opt",  "sense", "dis",   "mcs",
+                                  "tour", "cmb",   "dtour", "hyper"};
+constexpr int kThreads[] = {16, 32, 64};
+/// Cell i is (machine i % 3, algorithm (i / 3) % 8, threads (i / 24) % 3),
+/// so cells repeat after this many: a larger --distinct would silently
+/// yield only this many distinct cells.
+constexpr int kCellPeriod = static_cast<int>(
+    std::size(kMachines) * std::size(kAlgos) * std::size(kThreads));
+
+/// --distinct must name 1..kCellPeriod cells; say why when it does not.
+bool distinct_in_range(long distinct) {
+  if (distinct >= 1 && distinct <= kCellPeriod) return true;
+  std::fprintf(stderr,
+               "perf_service: --distinct %ld is out of range: the workload "
+               "generator has %d distinct cells (1..%d)\n",
+               distinct, kCellPeriod, kCellPeriod);
+  return false;
+}
+
+/// Deterministic repeated-cell workload: @p distinct (<= kCellPeriod)
+/// cells drawn from the grid, cycled until @p jobs lines.
 std::string make_workload(int jobs, int distinct) {
-  static const char* kMachines[] = {"kunpeng920", "thunderx2", "phytium2000+"};
-  static const char* kAlgos[] = {"opt",  "sense", "dis",   "mcs",
-                                 "tour", "cmb",   "dtour", "hyper"};
-  static const int kThreads[] = {16, 32, 64};
   std::vector<std::string> cells;
   cells.reserve(static_cast<std::size_t>(distinct));
   for (int i = 0; i < distinct; ++i) {
@@ -106,22 +128,24 @@ int main(int argc, char** argv) {
   const util::Args args(argc, argv);
   if (const auto emit = args.get("emit-jobs")) {
     const int n = static_cast<int>(args.get_int_or("emit-jobs", 50));
-    const int distinct =
-        static_cast<int>(args.get_int_or("distinct", std::min(n, 50)));
-    std::fputs(make_workload(n, distinct).c_str(), stdout);
+    const long distinct = args.get_int_or("distinct", std::min(n, 50));
+    if (!distinct_in_range(distinct)) return 1;
+    std::fputs(make_workload(n, static_cast<int>(distinct)).c_str(), stdout);
     return 0;
   }
 
   const int jobs = static_cast<int>(args.get_int_or("jobs", 200));
-  const int distinct = static_cast<int>(args.get_int_or("distinct", 100));
   const int workers = static_cast<int>(args.get_int_or("workers", 0));
   const int reps = static_cast<int>(args.get_int_or("reps", 3));
   const std::string out_path = args.get("json").value_or("BENCH_service.json");
-  if (jobs < 1 || distinct < 1 || reps < 1) {
-    std::fprintf(stderr,
-                 "perf_service: --jobs/--distinct/--reps must be >= 1\n");
+  if (jobs < 1 || reps < 1) {
+    std::fprintf(stderr, "perf_service: --jobs/--reps must be >= 1\n");
     return 1;
   }
+  const long requested = args.get_int_or("distinct", kCellPeriod);
+  if (!distinct_in_range(requested)) return 1;
+  // A stream shorter than the pool holds only its first `jobs` cells.
+  const int distinct = std::min(static_cast<int>(requested), jobs);
 
   const std::string workload = make_workload(jobs, distinct);
 

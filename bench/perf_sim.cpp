@@ -26,8 +26,9 @@
 //                     at a glance.  Also asserts the four configurations
 //                     are bit-identical (inert hooks change speed only).
 //                     Adds traced_events_per_sec (the counters-only
-//                     metrics path) to the JSON top level and the history
-//                     entry, where CI's perf gate ratchets it.
+//                     metrics path) and engine_only_events_per_sec (the
+//                     event-heap ceiling) to the JSON top level and the
+//                     history entry, where CI's perf gate ratchets them.
 //   --hier            additionally time a 1024-core hierarchical sweep
 //                     (topo::hier1024 x {amo, central2, hybrid, opt} x
 //                     {256, 1024} threads) — the many-core regime runs
@@ -104,7 +105,8 @@ std::string history_entry(double wall_min, double wall_median,
                           int reps, int workers, double speedup,
                           bool hier, double hier_events_per_sec,
                           double hier_checksum_ns,
-                          double traced_events_per_sec) {
+                          double traced_events_per_sec,
+                          double engine_only_events_per_sec) {
   std::ostringstream os;
   char buf[256];
   std::snprintf(buf, sizeof buf,
@@ -123,8 +125,10 @@ std::string history_entry(double wall_min, double wall_median,
     os << buf;
   }
   if (traced_events_per_sec > 0.0) {
-    std::snprintf(buf, sizeof buf, ", \"traced_events_per_sec\": %.1f",
-                  traced_events_per_sec);
+    std::snprintf(buf, sizeof buf,
+                  ", \"traced_events_per_sec\": %.1f, "
+                  "\"engine_only_events_per_sec\": %.1f",
+                  traced_events_per_sec, engine_only_events_per_sec);
     os << buf;
   }
   os << "}";
@@ -406,7 +410,8 @@ int main(int argc, char** argv) {
                                   plain.checksum_ns, reps, driver.workers(),
                                   speedup, hier, hier_events_per_sec,
                                   hier_checksum_ns,
-                                  breakdown ? traced.events_per_sec() : 0.0));
+                                  breakdown ? traced.events_per_sec() : 0.0,
+                                  engine_only));
 
   std::FILE* f = std::fopen(out_path.c_str(), "w");
   if (!f) {
@@ -447,6 +452,8 @@ int main(int argc, char** argv) {
   if (breakdown) {
     std::fprintf(f, "  \"traced_events_per_sec\": %.1f,\n",
                  traced.events_per_sec());
+    std::fprintf(f, "  \"engine_only_events_per_sec\": %.1f,\n",
+                 engine_only);
     std::fprintf(f, "  \"breakdown\": {\n");
     std::fprintf(f, "    \"engine_only_events_per_sec\": %.1f,\n",
                  engine_only);

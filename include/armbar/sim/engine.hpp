@@ -129,10 +129,12 @@ class Engine {
   /// fused into one unsigned 128-bit compare (t in the high half): same
   /// strict order, branchless where a two-field compare mispredicts on
   /// the tie-heavy traffic of same-timestamp drains.
+  __extension__ typedef unsigned __int128 Key;
+  static Key key(const Event& e) noexcept {
+    return (static_cast<Key>(e.t) << 64) | e.seq;
+  }
   static bool before(const Event& a, const Event& b) noexcept {
-    __extension__ typedef unsigned __int128 U128;
-    return ((static_cast<U128>(a.t) << 64) | a.seq) <
-           ((static_cast<U128>(b.t) << 64) | b.seq);
+    return key(a) < key(b);
   }
 
   /// Restore heap order after appending at @p i (hole-percolation: the
@@ -151,6 +153,30 @@ class Engine {
   /// Percolate the hole at @p i down the min-child chain until @p e fits,
   /// then write @p e there (the only write of e).
   void sift_down_from(std::size_t i, const Event& e) noexcept;
+
+  /// Index of the earliest of the children heap_[first .. first + 4) that
+  /// exist (first < n = live size).  A full group is a two-level
+  /// compare-select tournament: two independent pair compares, then one
+  /// between the winners, every select written as data (conditional
+  /// moves and a mask), so no compare of the four keys is a branch to
+  /// mispredict.  Only the last internal node can have a partial group.
+  std::size_t min_child(std::size_t first, std::size_t n) const noexcept {
+    const Event* c = heap_.data() + first;
+    if (first + kHeapArity <= n) {
+      const Key k0 = key(c[0]), k1 = key(c[1]);
+      const Key k2 = key(c[2]), k3 = key(c[3]);
+      const std::size_t lo = k1 < k0;       // winner of {0, 1}
+      const std::size_t hi = 2 + (k3 < k2);  // winner of {2, 3}
+      const Key k_lo = lo ? k1 : k0;
+      const Key k_hi = hi == 3 ? k3 : k2;
+      const std::size_t take_hi = 0 - static_cast<std::size_t>(k_hi < k_lo);
+      return first + (lo ^ ((lo ^ hi) & take_hi));
+    }
+    std::size_t best = 0;
+    for (std::size_t k = 1; k < n - first; ++k)
+      if (before(c[k], c[best])) best = k;
+    return first + best;
+  }
 
   /// 4-ary min-heap over a plain vector: half the depth of a binary heap
   /// (the event loop pops one event per simulated operation, so sift

@@ -49,6 +49,7 @@
 #include <vector>
 
 #include "armbar/sim/engine.hpp"
+#include "armbar/sim/inflight.hpp"
 #include "armbar/sim/mem_stats.hpp"
 #include "armbar/sim/trace.hpp"
 #include "armbar/topo/machine.hpp"
@@ -247,50 +248,6 @@ class MemSystem {
     virtual bool on_line_write(MemSystem& mem, LineId line,
                                Picos read_finish) = 0;
     int core_;
-  };
-
-  /// Compact multiset of in-flight completion times.  Only the count of
-  /// still-pending entries feeds the contention model, so the storage is
-  /// an unordered flat vector with a cached minimum: count_at() answers in
-  /// O(1) while nothing has expired (`at < min`, the common case — this is
-  /// the hottest query of a sweep, several calls per simulated operation),
-  /// and compacts with one swap-pop sweep when the minimum lapses.
-  /// Expiries cluster at round boundaries in barrier traffic, so a sweep
-  /// usually retires many entries at once; a min-heap variant (O(log n)
-  /// add, pop-per-expiry) measured ~35% slower per event on the
-  /// dissemination sweep because it pays the heap maintenance on every
-  /// add while the flat sweep amortizes.  The backing vector keeps its
-  /// capacity across a run.
-  struct InflightSet {
-    static constexpr Picos kNone = ~Picos{0};
-
-    std::vector<Picos> finish;
-    Picos min_finish = kNone;
-
-    void add(Picos f) {
-      finish.push_back(f);
-      if (f < min_finish) min_finish = f;
-    }
-
-    /// Number of entries still in flight at @p at (> at); expired entries
-    /// are removed.
-    int count_at(Picos at) noexcept {
-      if (at < min_finish) return static_cast<int>(finish.size());
-      Picos min = kNone;
-      std::size_t n = finish.size();
-      for (std::size_t i = 0; i < n;) {
-        const Picos f = finish[i];
-        if (f <= at) {
-          finish[i] = finish[--n];  // swap-pop: order is irrelevant
-        } else {
-          if (f < min) min = f;
-          ++i;
-        }
-      }
-      finish.resize(n);
-      min_finish = min;
-      return static_cast<int>(n);
-    }
   };
 
   struct Var {

@@ -8,8 +8,11 @@
 // scheduler, so a barrier with P > hardware_concurrency threads still
 // completes promptly.
 
+#include <chrono>
 #include <cstdint>
 #include <thread>
+
+#include "armbar/util/prng.hpp"
 
 namespace armbar::util {
 
@@ -75,6 +78,33 @@ inline double backoff_full_jitter_ms(int attempt, double base_ms,
   for (int i = 1; i < attempt && window < cap_ms; ++i) window *= 2.0;
   if (window > cap_ms) window = cap_ms;
   return window * rand01;
+}
+
+/// Transient-retry pacing of the sweep driver and the sweep service
+/// (docs/SERVICE.md §retries): the first retry waits uniform [0, 1] ms,
+/// doubling the window per attempt up to the cap.
+inline constexpr double kRetryBaseMs = 1.0;
+inline constexpr double kRetryCapMs = 50.0;
+
+/// Delay before retry @p failed_attempt + 1 of job @p job: full-jitter
+/// backoff with the draw seeded per (job, attempt), so the sleep schedule
+/// is a pure function of the inputs.
+inline double retry_delay_ms(std::uint64_t job, int failed_attempt) noexcept {
+  Xoshiro256 rng(std::uint64_t{0x9e3779b97f4a7c15} ^
+                 (job * std::uint64_t{0x100000001b3} +
+                  static_cast<std::uint64_t>(failed_attempt)));
+  return backoff_full_jitter_ms(failed_attempt, kRetryBaseMs, kRetryCapMs,
+                                rng.uniform01());
+}
+
+/// Sleep retry_delay_ms(@p job, @p failed_attempt).  The sleep never
+/// touches simulation state: results stay bit-identical however long a
+/// retry waited.
+inline void retry_pause(std::uint64_t job, int failed_attempt) {
+  const double ms = retry_delay_ms(job, failed_attempt);
+  if (ms > 0.0)
+    std::this_thread::sleep_for(
+        std::chrono::microseconds(static_cast<std::int64_t>(ms * 1000.0)));
 }
 
 }  // namespace armbar::util

@@ -1,6 +1,5 @@
 #include "armbar/sim/engine.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -33,11 +32,7 @@ void Engine::sift_down_from(std::size_t i, const Event& e) noexcept {
   for (;;) {
     const std::size_t first_child = i * kHeapArity + 1;
     if (first_child >= n) break;
-    const std::size_t last_child =
-        std::min(first_child + kHeapArity, n);
-    std::size_t best = first_child;
-    for (std::size_t c = first_child + 1; c < last_child; ++c)
-      if (before(heap_[c], heap_[best])) best = c;
+    const std::size_t best = min_child(first_child, n);
     if (!before(heap_[best], e)) break;
     heap_[i] = heap_[best];
     i = best;
@@ -56,12 +51,8 @@ bool Engine::run(std::uint64_t max_events) {
       // heap traffic: serialized chains and same-timestamp drains run
       // entirely through this path, never re-touching the heap.
       const std::size_t n = heap_.size();
-      const std::size_t last_child = std::min(kHeapArity + 1, n);
-      std::size_t best = 0;  // 0 = no live child
-      for (std::size_t c = 1; c < last_child; ++c)
-        if (best == 0 || before(heap_[c], heap_[best])) best = c;
       staged_ = false;
-      if (best != 0 && before(heap_[best], staged_event_)) {
+      if (n > 1 && before(heap_[min_child(1, n)], staged_event_)) {
         // A heap event precedes the staged one: commit the staged event
         // into the hole (the sift schedule() skipped), then pop normally.
         sift_down_from(0, staged_event_);

@@ -1,7 +1,6 @@
 #include "armbar/simbar/sweep.hpp"
 
 #include <atomic>
-#include <chrono>
 #include <exception>
 #include <stdexcept>
 #include <thread>
@@ -11,16 +10,10 @@
 #include "armbar/sim/error.hpp"
 #include "armbar/sim/trace.hpp"
 #include "armbar/util/backoff.hpp"
-#include "armbar/util/prng.hpp"
 
 namespace armbar::simbar {
 
 namespace {
-
-/// Transient-retry pacing (docs/SERVICE.md §retries): first retry waits
-/// uniform [0, 1] ms, doubling the window per attempt up to the cap.
-constexpr double kRetryBaseMs = 1.0;
-constexpr double kRetryCapMs = 50.0;
 
 void validate_jobs(const std::vector<SweepJob>& jobs) {
   for (const SweepJob& j : jobs) {
@@ -61,21 +54,6 @@ void run_pool(std::size_t njobs, int workers,
 void rethrow_first(std::vector<std::exception_ptr>& errors) {
   for (std::exception_ptr& e : errors)
     if (e) std::rethrow_exception(e);
-}
-
-/// Pause before retry @p failed_attempt + 1: exponential backoff with
-/// full jitter, seeded per job so the sleep schedule (like everything
-/// else here) is a pure function of the inputs.  The sleep never touches
-/// simulation state — results stay bit-identical however long we waited.
-void retry_pause(std::size_t job_index, int failed_attempt) {
-  util::Xoshiro256 rng(0x9e3779b97f4a7c15ull ^
-                       (static_cast<std::uint64_t>(job_index) * 0x100000001b3ull
-                        + static_cast<std::uint64_t>(failed_attempt)));
-  const double ms = util::backoff_full_jitter_ms(
-      failed_attempt, kRetryBaseMs, kRetryCapMs, rng.uniform01());
-  if (ms > 0.0)
-    std::this_thread::sleep_for(
-        std::chrono::microseconds(static_cast<std::int64_t>(ms * 1000.0)));
 }
 
 /// Run one isolated job attempt loop: call @p body until it succeeds, a
@@ -122,7 +100,7 @@ std::optional<JobError> attempt_isolated(const SweepJob& job, std::size_t i,
       err.message = "unknown exception";
       if (attempt >= max_attempts) return err;
     }
-    retry_pause(i, attempt);
+    util::retry_pause(i, attempt);
   }
 }
 

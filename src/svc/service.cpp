@@ -32,16 +32,10 @@
 #include "armbar/topo/placement.hpp"
 #include "armbar/topo/platforms.hpp"
 #include "armbar/util/backoff.hpp"
-#include "armbar/util/prng.hpp"
 
 namespace armbar::svc {
 
 namespace {
-
-/// Transient-retry pacing, matching the sweep driver's schedule
-/// (docs/SERVICE.md §retries).
-constexpr double kRetryBaseMs = 1.0;
-constexpr double kRetryCapMs = 50.0;
 
 // -- rendering (shared by the daemon and one-shot paths; the
 // byte-identity guarantee is exactly "both paths call these") ------------
@@ -202,20 +196,6 @@ std::shared_ptr<CachedResult> compute_cell(const JobSpec& spec,
     entry->summary_row = obs::render_row(entry->report);
   });
   return entry;
-}
-
-/// Pause before retrying @p seq after @p failed_attempt: exponential
-/// backoff with full jitter, seeded per (job, attempt) like the sweep
-/// driver's retry_pause so the schedule is reproducible.
-void retry_pause(std::uint64_t seq, int failed_attempt) {
-  util::Xoshiro256 rng(0x9e3779b97f4a7c15ull ^
-                       (seq * 0x100000001b3ull +
-                        static_cast<std::uint64_t>(failed_attempt)));
-  const double ms = util::backoff_full_jitter_ms(
-      failed_attempt, kRetryBaseMs, kRetryCapMs, rng.uniform01());
-  if (ms > 0.0)
-    std::this_thread::sleep_for(
-        std::chrono::microseconds(static_cast<std::int64_t>(ms * 1000.0)));
 }
 
 /// Bounded line reader.  Reads up to the next '\n' or EOF; characters
@@ -442,7 +422,7 @@ struct SweepService::Impl {
               attempt >= opts.max_attempts)
             break;
           retries.fetch_add(1, std::memory_order_relaxed);
-          retry_pause(req.seq, attempt);
+          util::retry_pause(req.seq, attempt);
         }
         if (computed->failed && computed->deadline)
           deadline_errors.fetch_add(1, std::memory_order_relaxed);

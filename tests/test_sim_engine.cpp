@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <queue>
 #include <stdexcept>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "armbar/sim/engine.hpp"
+#include "armbar/util/prng.hpp"
 
 namespace armbar::sim {
 namespace {
@@ -168,6 +173,135 @@ TEST(Engine, HeavyTieCollisionsReplayIdentically) {
   EXPECT_EQ(a, b);
   for (std::size_t i = 1; i < a.size(); ++i)
     ASSERT_LE(a[i - 1].first, a[i].first) << i;
+}
+
+// Randomized pop-order differential against a std::priority_queue on
+// (t, seq).  Workers follow scripted delays; a step may also schedule a
+// "pulse" actor, which logs and parks without scheduling anything.  So a
+// resume schedules zero (a pulse, a finishing worker), one (the staged
+// successor) or two (successor plus pulse: the second commits the staged
+// one) events.  With 1-9 actors the heap holds a handful of events, so
+// the sifts and the staged check meet partial child groups, including a
+// root with fewer than four live children.
+struct Step {
+  Picos delay;
+  int pulse;  ///< pulse actor to schedule too, or -1
+  Picos pulse_delay;
+};
+
+using Wake = std::pair<Picos, int>;  // (time, actor)
+
+/// Suspend the worker until now + delay; also schedule @p pulse (if any).
+struct StepAwait {
+  Engine& eng;
+  const Step& step;
+  std::coroutine_handle<> pulse;
+  bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> h) const {
+    eng.schedule(eng.now() + step.delay, h);
+    if (pulse) eng.schedule(eng.now() + step.pulse_delay, pulse);
+  }
+  void await_resume() const noexcept {}
+};
+
+/// Suspend without scheduling anything (someone else wakes us).
+struct Park {
+  bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<>) const noexcept {}
+  void await_resume() const noexcept {}
+};
+
+SimThread scripted_worker(Engine& eng, std::vector<Wake>& log, int id,
+                          const std::vector<Step>& script,
+                          const std::vector<std::coroutine_handle<>>& pulses) {
+  log.push_back({eng.now(), id});
+  for (const Step& st : script) {
+    std::coroutine_handle<> pulse;
+    if (st.pulse >= 0) pulse = pulses[static_cast<std::size_t>(st.pulse)];
+    co_await StepAwait{eng, st, pulse};
+    log.push_back({eng.now(), id});
+  }
+}
+
+SimThread pulse_actor(Engine& eng, std::vector<Wake>& log, int id,
+                      int wakes) {
+  log.push_back({eng.now(), id});
+  for (int k = 0; k < wakes; ++k) {
+    co_await Park{};
+    log.push_back({eng.now(), id});
+  }
+}
+
+/// The same actors replayed on a std::priority_queue keyed on (t, seq).
+std::vector<Wake> reference_order(
+    const std::vector<std::vector<Step>>& scripts, int pulses) {
+  using Ev = std::tuple<Picos, std::uint64_t, int>;
+  std::priority_queue<Ev, std::vector<Ev>, std::greater<>> pq;
+  std::uint64_t seq = 0;
+  const int workers = static_cast<int>(scripts.size());
+  for (int a = 0; a < workers + pulses; ++a) pq.push({0, seq++, a});
+  std::vector<std::size_t> pos(scripts.size(), 0);
+  std::vector<Wake> log;
+  while (!pq.empty()) {
+    const auto [t, s, actor] = pq.top();
+    pq.pop();
+    log.push_back({t, actor});
+    if (actor >= workers) continue;  // a pulse schedules nothing
+    const auto w = static_cast<std::size_t>(actor);
+    if (pos[w] == scripts[w].size()) continue;  // finished
+    const Step& st = scripts[w][pos[w]++];
+    pq.push({t + st.delay, seq++, actor});
+    if (st.pulse >= 0) pq.push({t + st.pulse_delay, seq++, workers + st.pulse});
+  }
+  return log;
+}
+
+TEST(Engine, PopOrderMatchesPriorityQueueOnTimeAndSequence) {
+  for (int actors = 1; actors <= 9; ++actors) {
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+      util::Xoshiro256 rng(seed * 131 + static_cast<std::uint64_t>(actors));
+      const int pulses = static_cast<int>(rng.below(
+          static_cast<std::uint64_t>(actors)));  // keep >= 1 worker
+      const int workers = actors - pulses;
+      std::vector<std::vector<Step>> scripts(
+          static_cast<std::size_t>(workers));
+      std::vector<int> pulse_wakes(static_cast<std::size_t>(pulses), 0);
+      for (auto& script : scripts) {
+        const std::size_t len = 1 + rng.below(30);
+        for (std::size_t i = 0; i < len; ++i) {
+          Step st{rng.below(4), -1, rng.below(6)};  // tie-heavy delays
+          if (pulses > 0 && rng.below(3) == 0) {
+            st.pulse = static_cast<int>(
+                rng.below(static_cast<std::uint64_t>(pulses)));
+            ++pulse_wakes[static_cast<std::size_t>(st.pulse)];
+          }
+          script.push_back(st);
+        }
+      }
+
+      Engine eng;
+      std::vector<Wake> log;
+      // Pulses are created first (their handles are in the workers'
+      // scripts) but spawned after the workers, as the reference orders.
+      std::vector<SimThread::handle_type> pulse_threads;
+      std::vector<std::coroutine_handle<>> handles;
+      for (int p = 0; p < pulses; ++p) {
+        pulse_threads.push_back(
+            pulse_actor(eng, log, workers + p,
+                        pulse_wakes[static_cast<std::size_t>(p)])
+                .release());
+        handles.push_back(pulse_threads.back());
+      }
+      for (int w = 0; w < workers; ++w)
+        eng.spawn(scripted_worker(eng, log, w,
+                                  scripts[static_cast<std::size_t>(w)],
+                                  handles));
+      for (const auto h : pulse_threads) eng.spawn(SimThread(h));
+      ASSERT_TRUE(eng.run()) << "actors " << actors << " seed " << seed;
+      ASSERT_EQ(log, reference_order(scripts, pulses))
+          << "actors " << actors << " seed " << seed;
+    }
+  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 #include <thread>
 
@@ -321,6 +322,25 @@ TEST(Backoff, StepCountsPolls) {
   EXPECT_EQ(w.polls(), 4u);  // capped at the spin limit, then yields
   w.reset();
   EXPECT_EQ(w.polls(), 0u);
+}
+
+/// One retry pacing for the sweep driver and the service: the seed is the
+/// (job, attempt) mix both used before they shared the helper, so sleep
+/// schedules stay what they were, and every delay stays in its window.
+TEST(Backoff, RetryDelayKeepsItsSeededSchedule) {
+  for (std::uint64_t job = 0; job < 64; ++job) {
+    for (int attempt = 1; attempt <= 8; ++attempt) {
+      Xoshiro256 rng(std::uint64_t{0x9e3779b97f4a7c15} ^
+                     (job * std::uint64_t{0x100000001b3} +
+                      static_cast<std::uint64_t>(attempt)));
+      const double want =
+          backoff_full_jitter_ms(attempt, 1.0, 50.0, rng.uniform01());
+      const double got = retry_delay_ms(job, attempt);
+      EXPECT_EQ(got, want) << job << " " << attempt;
+      EXPECT_GE(got, 0.0);
+      EXPECT_LT(got, std::min(50.0, static_cast<double>(1 << (attempt - 1))));
+    }
+  }
 }
 
 // --- vtime -------------------------------------------------------------------
